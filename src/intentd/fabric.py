@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .errors import (
@@ -50,7 +50,7 @@ class PacketHeader:
         _check_vlan(self.vlan)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrafficSelector:
     """Match criteria; an unset field matches anything."""
 
@@ -75,7 +75,16 @@ class TrafficSelector:
         )
 
     def with_in_port(self, port: int) -> "TrafficSelector":
-        return replace(self, in_port=port)
+        """A copy matching on `port`; only the port needs checking, the other
+        fields were normalised when this selector was built."""
+        if port < 1:
+            raise ValueError(f"in_port must be >= 1, got {port}")
+        selector = object.__new__(TrafficSelector)
+        object.__setattr__(selector, "in_port", port)
+        object.__setattr__(selector, "eth_src", self.eth_src)
+        object.__setattr__(selector, "eth_dst", self.eth_dst)
+        object.__setattr__(selector, "vlan", self.vlan)
+        return selector
 
     def matches(self, in_port: int, header: PacketHeader) -> bool:
         if self.in_port is not None and self.in_port != in_port:
@@ -111,7 +120,7 @@ class VlanAction:
         return replace(header, vlan=self.vlan)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrafficTreatment:
     """Forwarding actions; drop is true exactly when there are no outputs."""
 
@@ -130,7 +139,7 @@ class TrafficTreatment:
         return self.vlan_action.apply(header)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRule:
     rule_id: int
     device: str
@@ -139,17 +148,16 @@ class FlowRule:
     owner_intent: int
     priority: int = DEFAULT_PRIORITY
     packet_count: int = 0
+    # duplicate detection key: repeated identical intents own separate rules.
+    # Computed once; only packet_count ever changes after construction.
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.rule_id < 2**64:
             raise ValueError(f"rule_id out of 64-bit range: {self.rule_id}")
         if self.packet_count < 0:
             raise ValueError("packet_count must be non-negative")
-
-    @property
-    def key(self) -> tuple:
-        # duplicate detection key: repeated identical intents own separate rules
-        return (self.device, self.priority, self.selector, self.owner_intent)
+        self.key = (self.device, self.priority, self.selector, self.owner_intent)
 
 
 @dataclass(frozen=True)
@@ -161,27 +169,50 @@ class DeliveryReport:
     misses: frozenset[str]
 
 
+def _match_order(rule: FlowRule) -> tuple[int, int]:
+    return (-rule.priority, rule.rule_id)
+
+
 class FlowTable:
-    """Rules of one device, iterated by descending priority then rule id."""
+    """Rules of one device, iterated by descending priority then rule id.
+
+    The dict keeps insertion order.  While every added rule sorts after all
+    earlier ones (one priority and rising ids, which is what the controller
+    produces), that order is the match order and iteration does not sort.
+    An out-of-order add makes iteration sort until the table empties.
+    Iterate under the fabric lock: the in-order walk is over the live dict.
+    """
 
     def __init__(self, device: str) -> None:
         self.device = device
         self._rules: dict[int, FlowRule] = {}
+        self._in_order = True
 
     def __len__(self) -> int:
         return len(self._rules)
 
     def __iter__(self):
-        return iter(sorted(self._rules.values(), key=lambda r: (-r.priority, r.rule_id)))
+        if self._in_order:
+            return iter(self._rules.values())
+        return iter(sorted(self._rules.values(), key=_match_order))
 
     def add(self, rule: FlowRule) -> None:
-        self._rules[rule.rule_id] = rule
+        rules = self._rules
+        if self._in_order and rules:
+            last = next(reversed(rules.values()))
+            # a re-added id keeps its old dict position, so it counts as out of order
+            if rule.rule_id in rules or _match_order(rule) < _match_order(last):
+                self._in_order = False
+        rules[rule.rule_id] = rule
 
     def discard(self, rule_id: int) -> None:
         self._rules.pop(rule_id, None)
+        if not self._rules:
+            self._in_order = True
 
     def clear(self) -> None:
         self._rules.clear()
+        self._in_order = True
 
 
 @dataclass
@@ -231,6 +262,11 @@ class Fabric:
                 raise UnknownDeviceError(f"unknown device {device}")
             return list(self._tables[device])
 
+    def rules_of(self, owner_intent: int) -> list[FlowRule]:
+        """The rules an intent owns, in install order; empty for unknown owners."""
+        with self._lock:
+            return list(self._by_owner.get(owner_intent, ()))
+
     def install_rules(self, rules: Sequence[FlowRule]) -> int:
         """Install a batch atomically; on any error nothing is installed."""
         with self._lock:
@@ -247,11 +283,12 @@ class Fabric:
                         raise ValueError(
                             f"rule {rule.rule_id} outputs to missing port {rule.device}/{port}"
                         )
-                if rule.key in self._keys or rule.key in batch_keys:
+                key = rule.key
+                if key in self._keys or key in batch_keys:
                     raise DuplicateRuleError(
                         f"duplicate rule on {rule.device} (priority {rule.priority})"
                     )
-                batch_keys.add(rule.key)
+                batch_keys.add(key)
                 per_device[rule.device] = per_device.get(rule.device, 0) + 1
 
             if self._device_rule_cap is not None:
@@ -262,9 +299,9 @@ class Fabric:
                 if self._total + len(rules) > self._total_rule_cap:
                     raise RuleCapacityError("fabric rule capacity exceeded")
 
+            self._keys |= batch_keys
             for rule in rules:
                 self._tables[rule.device].add(rule)
-                self._keys.add(rule.key)
                 self._by_owner.setdefault(rule.owner_intent, []).append(rule)
             self._total += len(rules)
             return len(rules)

@@ -108,18 +108,6 @@ class Intent:
         return self.request.type_name
 
 
-@dataclass(frozen=True)
-class InstallableIntent:
-    owner: int
-    rules: tuple[FlowRule, ...]
-
-    def __post_init__(self) -> None:
-        if not self.rules:
-            raise ValueError("an installable intent carries at least one rule")
-        if any(r.owner_intent != self.owner for r in self.rules):
-            raise ValueError("rule owner does not match installable owner")
-
-
 def validate_request(topo: Topology, request: IntentRequest) -> None:
     """Check a request against the topology before it is admitted."""
 
@@ -291,7 +279,6 @@ class IntentStore:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
         self._intents: dict[int, Intent] = {}
-        self._installables: dict[int, InstallableIntent] = {}
         self._next_id = itertools.count(1)
         self._live = 0
         self._lock = threading.RLock()
@@ -330,14 +317,6 @@ class IntentStore:
             if state in (IntentState.FAILED, IntentState.WITHDRAWN):
                 self._live -= 1
 
-    def set_installable(self, installable: InstallableIntent) -> None:
-        with self._lock:
-            self._installables[installable.owner] = installable
-
-    def installable(self, intent_id: int) -> InstallableIntent | None:
-        with self._lock:
-            return self._installables.get(intent_id)
-
     def get(self, intent_id: int) -> Intent:
         with self._lock:
             try:
@@ -356,7 +335,6 @@ class IntentStore:
     def clear(self) -> None:
         with self._lock:
             self._intents.clear()
-            self._installables.clear()
             self._live = 0
 
 
@@ -416,7 +394,6 @@ class Controller:
         except (FabricError, ValueError) as exc:
             self.store.transition(intent, IntentState.FAILED, failure=str(exc))
             return intent.id
-        self.store.set_installable(InstallableIntent(intent.id, tuple(rules)))
         self.store.transition(intent, IntentState.INSTALLED)
         return intent.id
 
@@ -497,13 +474,11 @@ class Controller:
         return self.store.list()
 
     def rule_count(self, intent_id: int) -> int:
+        """Rules the fabric holds for the intent; an H2H parent counts its legs'."""
         intent = self.store.get(intent_id)
-        installable = self.store.installable(intent_id)
-        if installable is not None and intent.state is IntentState.INSTALLED:
-            return len(installable.rules)
         if intent.child_ids:
             return sum(self.rule_count(child) for child in intent.child_ids)
-        return 0
+        return len(self.fabric.rules_of(intent_id))
 
     def live_intents(self) -> int:
         return self.store.live_count()
@@ -512,13 +487,7 @@ class Controller:
         return self.fabric.rule_count()
 
     def reset(self) -> None:
-        """Withdraw everything and purge the store; counters drop to zero."""
-        for intent in self.store.list():
-            if intent.state is IntentState.INSTALLED:
-                try:
-                    self.withdraw(intent.id)
-                except IllegalStateError:
-                    pass  # a parent may have withdrawn this child already
+        """Drop every rule and purge the store; counters drop to zero."""
         self.fabric.clear()
         self.store.clear()
 

@@ -160,6 +160,10 @@ class Topology:
         for dev, out in by_src.items():
             self._adjacency[dev] = tuple(out)
 
+        # shortest_path's memo: (src, dst) -> Path, at most one per device
+        # pair.  Two threads missing on one pair compute the same frozen Path.
+        self._paths: dict[tuple[str, str], Path] = {}
+
     @property
     def device_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self._ports))
@@ -307,12 +311,22 @@ def shortest_path(topo: Topology, src: str, dst: str) -> Path:
 
     Ties are broken toward the lexicographically smallest device-id sequence
     (then smallest egress ports), so repeated calls agree and unions of
-    paths from one source form a tree.
+    paths from one source form a tree.  The topology is immutable, so each
+    path is searched once and then served from the topology's memo;
+    NoPathError is raised afresh on every call.
     """
     if not topo.has_device(src):
         raise UnknownDeviceError(f"unknown device {src}")
     if not topo.has_device(dst):
         raise UnknownDeviceError(f"unknown device {dst}")
+    path = topo._paths.get((src, dst))
+    if path is None:
+        path = topo._paths[src, dst] = _search_path(topo, src, dst)
+    return path
+
+
+def _search_path(topo: Topology, src: str, dst: str) -> Path:
+    """Dijkstra over (cost, device sequence, port sequence) for shortest_path."""
     if src == dst:
         return Path(())
 

@@ -13,6 +13,7 @@ from intentd.fabric import (
     DEFAULT_PRIORITY,
     Fabric,
     FlowRule,
+    FlowTable,
     PacketHeader,
     TrafficSelector,
     TrafficTreatment,
@@ -25,11 +26,13 @@ from randnet import DEFAULT_HEADER
 _ids = itertools.count(1)
 
 
-def rule(device, in_port, out_ports, *, priority=DEFAULT_PRIORITY, owner=1, **sel):
+def rule(
+    device, in_port, out_ports, *, priority=DEFAULT_PRIORITY, owner=1, rule_id=None, **sel
+):
     if isinstance(out_ports, int):
         out_ports = (out_ports,)
     return FlowRule(
-        rule_id=next(_ids),
+        rule_id=next(_ids) if rule_id is None else rule_id,
         device=device,
         selector=TrafficSelector(in_port=in_port, **sel),
         treatment=TrafficTreatment(outputs=tuple(out_ports), drop=not out_ports),
@@ -215,6 +218,63 @@ class TestMatchOrder:
         high = rule(D1, 2, 1, priority=500, owner=2)
         fabric.install_rules([low, high])
         assert [r.rule_id for r in fabric.rules_for(D1)] == [high.rule_id, low.rule_id]
+
+
+def numbered(rule_id, priority, owner=1):
+    return rule(D1, 1, 2, priority=priority, owner=owner, rule_id=rule_id)
+
+
+def match_order(table):
+    return [(r.priority, r.rule_id) for r in table]
+
+
+class TestTableOrder:
+    def test_mixed_priorities_and_descending_ids(self):
+        table = FlowTable(D1)
+        for rule_id, priority in [(9, 100), (8, 300), (7, 100), (6, 200), (5, 300), (4, 100)]:
+            table.add(numbered(rule_id, priority))
+        assert match_order(table) == [(300, 5), (300, 8), (200, 6), (100, 4), (100, 7), (100, 9)]
+
+    def test_rising_ids_at_one_priority_keep_insertion_order(self):
+        table = FlowTable(D1)
+        for rule_id in (3, 10, 11, 40):
+            table.add(numbered(rule_id, 100))
+        assert table._in_order
+        assert match_order(table) == [(100, 3), (100, 10), (100, 11), (100, 40)]
+
+    def test_discard_and_readd_keep_order(self):
+        table = FlowTable(D1)
+        rules = [numbered(rule_id, 100) for rule_id in (1, 2, 3, 4)]
+        for r in rules:
+            table.add(r)
+        table.discard(2)
+        table.discard(4)
+        assert match_order(table) == [(100, 1), (100, 3)]
+        table.add(rules[1])
+        table.add(rules[3])
+        assert match_order(table) == [(100, 1), (100, 2), (100, 3), (100, 4)]
+        table.add(numbered(3, 500))  # same id, new priority
+        assert match_order(table) == [(500, 3), (100, 1), (100, 2), (100, 4)]
+
+    @pytest.mark.parametrize("empty", ["discard", "clear"])
+    def test_empty_table_returns_to_unsorted_walk(self, chain3, empty):
+        fabric = Fabric(chain3)
+        fabric.install_rules([numbered(20, 100, owner=1), numbered(10, 100, owner=2)])
+        table = fabric._tables[D1]
+        assert not table._in_order
+        assert match_order(table) == [(100, 10), (100, 20)]
+        if empty == "clear":
+            fabric.clear()
+        else:
+            fabric.remove_rules(1)
+            fabric.remove_rules(2)
+        assert table._in_order
+        drop = rule(D1, 1, (), priority=200, owner=3, rule_id=30)
+        fabric.install_rules([drop, numbered(31, 100, owner=4)])
+        assert table._in_order
+        report = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
+        assert report.dropped_at == frozenset({D1})
+        assert drop.packet_count == 1
 
 
 class TestInject:

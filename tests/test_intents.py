@@ -105,7 +105,7 @@ class TestCompilation:
         intent = controller.get(iid)
         assert intent.state is IntentState.INSTALLED
         assert controller.rule_count(iid) == 3
-        rules = controller.store.installable(iid).rules
+        rules = controller.fabric.rules_of(iid)
         assert [(r.device, r.selector.in_port, r.treatment.outputs) for r in rules] == [
             (D1, 1, (2,)),
             (D2, 1, (2,)),
@@ -115,7 +115,7 @@ class TestCompilation:
     def test_same_device_p2p_is_one_rule(self, controller):
         iid = controller.submit(PointToPoint(CP(D1, 1), CP(D1, 2)))
         assert controller.rule_count(iid) == 1
-        (r,) = controller.store.installable(iid).rules
+        (r,) = controller.fabric.rules_of(iid)
         assert (r.device, r.selector.in_port, r.treatment.outputs) == (D1, 1, (2,))
 
     def test_star_fanout_shares_devices(self, star):
@@ -124,7 +124,7 @@ class TestCompilation:
             SingleToMultiPoint(CP(D1, 1), frozenset({CP(D2, 2), CP(D3, 2)}))
         )
         assert ctrl.rule_count(iid) == 4  # d1, hub, d2, d3
-        by_device = {r.device: r for r in ctrl.store.installable(iid).rules}
+        by_device = {r.device: r for r in ctrl.fabric.rules_of(iid)}
         assert by_device[HUB].treatment.outputs == (2, 3)
         assert by_device[D2].treatment.outputs == (2,)
 
@@ -135,7 +135,7 @@ class TestCompilation:
         )
         # two three-device paths share the last hop into d3
         assert ctrl.rule_count(iid) == 5
-        devices = sorted(r.device for r in ctrl.store.installable(iid).rules)
+        devices = sorted(r.device for r in ctrl.fabric.rules_of(iid))
         assert devices == sorted([D1, D2, HUB, HUB, D3])
 
     def test_compilation_is_deterministic(self, star):
@@ -146,14 +146,14 @@ class TestCompilation:
             )
             return [
                 (r.device, r.selector.in_port, r.treatment.outputs, r.priority)
-                for r in ctrl.store.installable(iid).rules
+                for r in ctrl.fabric.rules_of(iid)
             ]
 
         assert shapes() == shapes()
 
     def test_rules_carry_owner_and_priority(self, controller):
         iid = controller.submit(p2p_h1_h2(), priority=250)
-        for r in controller.store.installable(iid).rules:
+        for r in controller.fabric.rules_of(iid):
             assert r.owner_intent == iid
             assert r.priority == 250
 
@@ -196,6 +196,23 @@ class TestLifecycleAccounting:
         assert controller.live_intents() == 0
         assert controller.installed_rules() == 0
         assert controller.list() == []
+
+    def test_rule_counts_of_terminal_intents_are_zero(self, chain3):
+        ctrl = Controller(chain3, fabric=Fabric(chain3, total_rule_cap=4))
+        pair = ctrl.submit(HostToHost("h1", "h2"))  # the second leg exceeds the cap
+        first, second = ctrl.get(pair).child_ids
+        assert ctrl.get(pair).state is IntentState.FAILED
+        assert ctrl.get(first).state is IntentState.WITHDRAWN
+        assert ctrl.get(second).state is IntentState.FAILED
+        assert [ctrl.rule_count(i) for i in (pair, first, second)] == [0, 0, 0]
+
+        ctrl = Controller(chain3)
+        pair = ctrl.submit(HostToHost("h1", "h2"))
+        single = ctrl.submit(p2p_h1_h2())
+        assert [ctrl.rule_count(i) for i in (pair, single)] == [6, 3]
+        ctrl.withdraw(pair)
+        ctrl.withdraw(single)
+        assert [ctrl.rule_count(i) for i in (pair, single)] == [0, 0]
 
     def test_duplicate_submissions_coexist(self, controller):
         a = controller.submit(p2p_h1_h2())
