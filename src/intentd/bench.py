@@ -28,7 +28,7 @@ from .intents import (
 )
 from .rest import RestClient, RestServer
 from .stats import LinearFit, SummaryStats, fit_linear, summarize
-from .topology import Topology
+from .topology import Topology, load_topology, serialize_topology
 
 INTENT_TYPES = ("P2P", "S2M", "M2S")
 INTERFACES = ("CLI", "REST")
@@ -214,8 +214,12 @@ class BenchRunner:
         return self._client
 
     def _reset(self) -> None:
-        """Empty the store and fabric; 'restart' swaps in a new controller."""
+        """Empty the store and fabric; 'restart' swaps in a new controller.
+
+        A restart also reloads the topology, so the new controller starts
+        with no memoised paths; 'purge' keeps them warm."""
         if self.config.reset_mode == "restart":
+            self.topology = load_topology(serialize_topology(self.topology))
             self._controller = Controller(self.topology)
             if self._server is not None:
                 self._server.controller = self._controller

@@ -30,6 +30,12 @@ def _check_mac(value: str | None, what: str) -> str | None:
     return lowered
 
 
+def _check_in_port(port: int) -> int:
+    if port < 1:
+        raise ValueError(f"in_port must be >= 1, got {port}")
+    return port
+
+
 def _check_vlan(value: int | None) -> int | None:
     if value is None:
         return None
@@ -60,8 +66,8 @@ class TrafficSelector:
     vlan: int | None = None
 
     def __post_init__(self) -> None:
-        if self.in_port is not None and self.in_port < 1:
-            raise ValueError(f"in_port must be >= 1, got {self.in_port}")
+        if self.in_port is not None:
+            _check_in_port(self.in_port)
         object.__setattr__(self, "eth_src", _check_mac(self.eth_src, "eth_src"))
         object.__setattr__(self, "eth_dst", _check_mac(self.eth_dst, "eth_dst"))
         _check_vlan(self.vlan)
@@ -77,10 +83,8 @@ class TrafficSelector:
     def with_in_port(self, port: int) -> "TrafficSelector":
         """A copy matching on `port`; only the port needs checking, the other
         fields were normalised when this selector was built."""
-        if port < 1:
-            raise ValueError(f"in_port must be >= 1, got {port}")
         selector = object.__new__(TrafficSelector)
-        object.__setattr__(selector, "in_port", port)
+        object.__setattr__(selector, "in_port", _check_in_port(port))
         object.__setattr__(selector, "eth_src", self.eth_src)
         object.__setattr__(selector, "eth_dst", self.eth_dst)
         object.__setattr__(selector, "vlan", self.vlan)
@@ -176,43 +180,41 @@ def _match_order(rule: FlowRule) -> tuple[int, int]:
 class FlowTable:
     """Rules of one device, iterated by descending priority then rule id.
 
-    The dict keeps insertion order.  While every added rule sorts after all
-    earlier ones (one priority and rising ids, which is what the controller
-    produces), that order is the match order and iteration does not sort.
-    An out-of-order add makes iteration sort until the table empties.
-    Iterate under the fabric lock: the in-order walk is over the live dict.
+    The dict is kept in that match order, so a walk never sorts.  A rule
+    that sorts after the last one (one priority and rising ids, which is
+    what the controller produces) is appended; any other add, a re-added id
+    included, rebuilds the dict in match order once.  Discards keep the
+    order.  Iterate under the fabric lock: the walk is over the live dict.
     """
 
     def __init__(self, device: str) -> None:
         self.device = device
         self._rules: dict[int, FlowRule] = {}
-        self._in_order = True
 
     def __len__(self) -> int:
         return len(self._rules)
 
     def __iter__(self):
-        if self._in_order:
-            return iter(self._rules.values())
-        return iter(sorted(self._rules.values(), key=_match_order))
+        return iter(self._rules.values())
 
     def add(self, rule: FlowRule) -> None:
         rules = self._rules
-        if self._in_order and rules:
-            last = next(reversed(rules.values()))
-            # a re-added id keeps its old dict position, so it counts as out of order
-            if rule.rule_id in rules or _match_order(rule) < _match_order(last):
-                self._in_order = False
+        # a re-added id would keep its old dict position, so it re-sorts too
+        in_order = not rules or (
+            rule.rule_id not in rules
+            and _match_order(rule) > _match_order(next(reversed(rules.values())))
+        )
         rules[rule.rule_id] = rule
+        if not in_order:
+            self._rules = {
+                r.rule_id: r for r in sorted(rules.values(), key=_match_order)
+            }
 
     def discard(self, rule_id: int) -> None:
         self._rules.pop(rule_id, None)
-        if not self._rules:
-            self._in_order = True
 
     def clear(self) -> None:
         self._rules.clear()
-        self._in_order = True
 
 
 @dataclass

@@ -474,10 +474,13 @@ class Controller:
         return self.store.list()
 
     def rule_count(self, intent_id: int) -> int:
-        """Rules the fabric holds for the intent; an H2H parent counts its legs'."""
+        """Rules the fabric holds for an INSTALLED intent, else 0; an H2H
+        parent counts its legs'."""
         intent = self.store.get(intent_id)
         if intent.child_ids:
             return sum(self.rule_count(child) for child in intent.child_ids)
+        if intent.state is not IntentState.INSTALLED:
+            return 0
         return len(self.fabric.rules_of(intent_id))
 
     def live_intents(self) -> int:

@@ -115,6 +115,9 @@ class TestRunWorkload:
             before = runner.controller
             runner.run_workload("P2P", "CLI", 2)
             assert runner.controller is not before
+            # the reloaded topology is equal but carries no memoised paths
+            assert runner.controller.topology == before.topology
+            assert runner.controller.topology is not before.topology
 
     def test_rest_sample_contract(self):
         config = tiny_config(interfaces=("REST",))

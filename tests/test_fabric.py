@@ -239,7 +239,6 @@ class TestTableOrder:
         table = FlowTable(D1)
         for rule_id in (3, 10, 11, 40):
             table.add(numbered(rule_id, 100))
-        assert table._in_order
         assert match_order(table) == [(100, 3), (100, 10), (100, 11), (100, 40)]
 
     def test_discard_and_readd_keep_order(self):
@@ -256,25 +255,35 @@ class TestTableOrder:
         table.add(numbered(3, 500))  # same id, new priority
         assert match_order(table) == [(500, 3), (100, 1), (100, 2), (100, 4)]
 
+    def test_discard_after_out_of_order_add_keeps_order(self):
+        table = FlowTable(D1)
+        for rule_id, priority in [(1, 100), (2, 100), (3, 200), (4, 100), (5, 300)]:
+            table.add(numbered(rule_id, priority))
+        table.discard(3)
+        assert match_order(table) == [(300, 5), (100, 1), (100, 2), (100, 4)]
+        table.add(numbered(6, 100))
+        table.add(numbered(7, 200))
+        assert match_order(table) == [(300, 5), (200, 7), (100, 1), (100, 2), (100, 4), (100, 6)]
+
     @pytest.mark.parametrize("empty", ["discard", "clear"])
-    def test_empty_table_returns_to_unsorted_walk(self, chain3, empty):
+    def test_emptied_table_keeps_match_order(self, chain3, empty):
         fabric = Fabric(chain3)
         fabric.install_rules([numbered(20, 100, owner=1), numbered(10, 100, owner=2)])
         table = fabric._tables[D1]
-        assert not table._in_order
         assert match_order(table) == [(100, 10), (100, 20)]
         if empty == "clear":
             fabric.clear()
         else:
             fabric.remove_rules(1)
             fabric.remove_rules(2)
-        assert table._in_order
+        assert match_order(table) == []
+        low = numbered(31, 100, owner=4)
         drop = rule(D1, 1, (), priority=200, owner=3, rule_id=30)
-        fabric.install_rules([drop, numbered(31, 100, owner=4)])
-        assert table._in_order
+        fabric.install_rules([low, drop])
+        assert match_order(table) == [(200, 30), (100, 31)]
         report = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
         assert report.dropped_at == frozenset({D1})
-        assert drop.packet_count == 1
+        assert (drop.packet_count, low.packet_count) == (1, 0)
 
 
 class TestInject:

@@ -214,6 +214,21 @@ class TestLifecycleAccounting:
         ctrl.withdraw(single)
         assert [ctrl.rule_count(i) for i in (pair, single)] == [0, 0]
 
+    def test_rule_count_is_zero_until_installed(self, chain3):
+        seen = []
+
+        class Recording(Fabric):
+            def install_rules(self, rules):
+                installed = super().install_rules(rules)
+                owner = rules[0].owner_intent
+                seen.append((ctrl.get(owner).state, ctrl.rule_count(owner)))
+                return installed
+
+        ctrl = Controller(chain3, fabric=Recording(chain3))
+        iid = ctrl.submit(p2p_h1_h2())
+        assert seen == [(IntentState.INSTALLING, 0)]
+        assert ctrl.rule_count(iid) == 3
+
     def test_duplicate_submissions_coexist(self, controller):
         a = controller.submit(p2p_h1_h2())
         b = controller.submit(p2p_h1_h2())
