@@ -307,6 +307,21 @@ def _run_bench(args: argparse.Namespace) -> int:
     finally:
         runner.close()
     paths = bench.emit_report(results, config)
+
+    if results.fits:  # a fit needs at least three workloads
+        print("\nper-cell linear fits (mean install time vs intent count)")
+    for (intent_type, interface), fit in sorted(results.fits.items()):
+        print(
+            f"  {intent_type}/{interface}: {fit.slope:.4f} ms/intent "
+            f"+ {fit.intercept:.2f} ms, r^2={fit.r_squared:.5f}"
+        )
+    if results.ratios:
+        ratios = [r.ratio for r in results.ratios]
+        print(
+            f"\nREST/CLI mean-time ratio: min={min(ratios):.2f} "
+            f"mean={sum(ratios) / len(ratios):.2f} max={max(ratios):.2f}"
+        )
+    print()
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK

@@ -30,7 +30,8 @@ class FabricError(IntentdError):
 
 
 class DuplicateRuleError(FabricError):
-    """A rule with the same (device, priority, selector, owner) already exists."""
+    """A rule with the same (device, priority, selector, owner), or the same
+    rule id, already exists."""
 
 
 class RuleCapacityError(FabricError):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -91,6 +92,8 @@ class TrafficSelector:
         return selector
 
     def matches(self, in_port: int, header: PacketHeader) -> bool:
+        """True when every set field equals the packet's; the linear
+        reference that `FlowTable.match` is tested against."""
         if self.in_port is not None and self.in_port != in_port:
             return False
         if self.eth_src is not None and self.eth_src != header.eth_src:
@@ -152,8 +155,11 @@ class FlowRule:
     owner_intent: int
     priority: int = DEFAULT_PRIORITY
     packet_count: int = 0
+    # Both keys are computed once; only packet_count ever changes after
+    # construction.  match_key is the selector's (in_port, eth_src, eth_dst,
+    # vlan), None where unset: equal selectors have equal match keys.
+    match_key: tuple = field(init=False, repr=False, compare=False)
     # duplicate detection key: repeated identical intents own separate rules.
-    # Computed once; only packet_count ever changes after construction.
     key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -161,7 +167,9 @@ class FlowRule:
             raise ValueError(f"rule_id out of 64-bit range: {self.rule_id}")
         if self.packet_count < 0:
             raise ValueError("packet_count must be non-negative")
-        self.key = (self.device, self.priority, self.selector, self.owner_intent)
+        sel = self.selector
+        self.match_key = (sel.in_port, sel.eth_src, sel.eth_dst, sel.vlan)
+        self.key = (self.device, self.priority, self.match_key, self.owner_intent)
 
 
 @dataclass(frozen=True)
@@ -177,44 +185,107 @@ def _match_order(rule: FlowRule) -> tuple[int, int]:
     return (-rule.priority, rule.rule_id)
 
 
-class FlowTable:
-    """Rules of one device, iterated by descending priority then rule id.
+# A probe picks from (in_port, eth_src, eth_dst, vlan, None), read off the
+# packet; a field the selector leaves unset picks the trailing None.
+_UNSET = 4
 
-    The dict is kept in that match order, so a walk never sorts.  A rule
-    that sorts after the last one (one priority and rising ids, which is
-    what the controller produces) is appended; any other add, a re-added id
-    included, rebuilds the dict in match order once.  Discards keep the
-    order.  Iterate under the fabric lock: the walk is over the live dict.
+
+class FlowTable:
+    """Rules of one device, looked up by tuple space search.
+
+    Rules are grouped by `FlowRule.match_key`.  `_index` maps a key to its
+    only rule or, when several share it, to a dict of them kept in match
+    order (descending priority, then rule id), so a key's first rule is its
+    best.  A rule that sorts after the key's last one (one priority and
+    rising ids, which is what the controller produces) is appended; any
+    other add rebuilds that key's dict once.  `_probes` holds one getter per
+    combination of set fields present (at most 16), which turns a packet into
+    the key a matching rule of that combination must have; it only grows
+    until `clear()`.  A lookup probes each combination once and takes the best
+    head across them.  Rule ids must be unique; the fabric checks that.
+    Use under the fabric lock.
     """
 
     def __init__(self, device: str) -> None:
         self.device = device
-        self._rules: dict[int, FlowRule] = {}
+        self._index: dict[tuple, FlowRule | dict[int, FlowRule]] = {}
+        self._probes: dict[tuple[int, ...], itemgetter] = {}
+        self._len = 0
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return self._len
 
     def __iter__(self):
-        return iter(self._rules.values())
+        """Every rule in match order; sorts, so keep it off the packet path."""
+        rules: list[FlowRule] = []
+        for held in self._index.values():
+            if type(held) is dict:
+                rules.extend(held.values())
+            else:
+                rules.append(held)
+        return iter(sorted(rules, key=_match_order))
 
     def add(self, rule: FlowRule) -> None:
-        rules = self._rules
-        # a re-added id would keep its old dict position, so it re-sorts too
-        in_order = not rules or (
-            rule.rule_id not in rules
-            and _match_order(rule) > _match_order(next(reversed(rules.values())))
-        )
-        rules[rule.rule_id] = rule
-        if not in_order:
-            self._rules = {
-                r.rule_id: r for r in sorted(rules.values(), key=_match_order)
-            }
+        key = rule.match_key
+        index = self._index
+        held = index.get(key)
+        if held is None:
+            index[key] = rule
+            in_port, eth_src, eth_dst, vlan = key
+            picks = (
+                _UNSET if in_port is None else 0,
+                _UNSET if eth_src is None else 1,
+                _UNSET if eth_dst is None else 2,
+                _UNSET if vlan is None else 3,
+            )
+            if picks not in self._probes:
+                self._probes[picks] = itemgetter(*picks)
+        else:
+            if type(held) is not dict:
+                held = index[key] = {held.rule_id: held}
+            in_order = _match_order(rule) > _match_order(next(reversed(held.values())))
+            held[rule.rule_id] = rule
+            if not in_order:
+                index[key] = {
+                    r.rule_id: r for r in sorted(held.values(), key=_match_order)
+                }
+        self._len += 1
 
-    def discard(self, rule_id: int) -> None:
-        self._rules.pop(rule_id, None)
+    def discard(self, rule: FlowRule) -> None:
+        """Remove a rule this table holds."""
+        key = rule.match_key
+        held = self._index[key]
+        if held is rule:
+            del self._index[key]
+        else:
+            del held[rule.rule_id]
+            if len(held) == 1:
+                self._index[key] = next(iter(held.values()))
+        self._len -= 1
+
+    def match(self, in_port: int, header: PacketHeader) -> FlowRule | None:
+        """The first rule in match order whose selector matches, or None."""
+        fields = (in_port, header.eth_src, header.eth_dst, header.vlan, None)
+        index = self._index
+        best = None
+        for probe in self._probes.values():
+            hit = index.get(probe(fields))
+            if hit is None:
+                continue
+            if type(hit) is dict:
+                hit = next(iter(hit.values()))
+            if (
+                best is None
+                or hit.priority > best.priority
+                or (hit.priority == best.priority and hit.rule_id < best.rule_id)
+            ):
+                best = hit
+        return best
 
     def clear(self) -> None:
-        self._rules.clear()
+        self._index.clear()
+        self._probes.clear()
+        self._len = 0
 
 
 @dataclass
@@ -246,6 +317,7 @@ class Fabric:
             dev: FlowTable(dev) for dev in topology.device_ids
         }
         self._keys: set[tuple] = set()
+        self._ids: set[int] = set()
         self._by_owner: dict[int, list[FlowRule]] = {}
         self._total = 0
         self._lock = threading.RLock()
@@ -274,6 +346,7 @@ class Fabric:
         with self._lock:
             per_device: dict[str, int] = {}
             batch_keys: set[tuple] = set()
+            batch_ids: set[int] = set()
             for rule in rules:
                 table = self._tables.get(rule.device)
                 if table is None:
@@ -291,6 +364,9 @@ class Fabric:
                         f"duplicate rule on {rule.device} (priority {rule.priority})"
                     )
                 batch_keys.add(key)
+                if rule.rule_id in self._ids or rule.rule_id in batch_ids:
+                    raise DuplicateRuleError(f"rule id {rule.rule_id} is already in use")
+                batch_ids.add(rule.rule_id)
                 per_device[rule.device] = per_device.get(rule.device, 0) + 1
 
             if self._device_rule_cap is not None:
@@ -302,6 +378,7 @@ class Fabric:
                     raise RuleCapacityError("fabric rule capacity exceeded")
 
             self._keys |= batch_keys
+            self._ids |= batch_ids
             for rule in rules:
                 self._tables[rule.device].add(rule)
                 self._by_owner.setdefault(rule.owner_intent, []).append(rule)
@@ -313,8 +390,9 @@ class Fabric:
         with self._lock:
             owned = self._by_owner.pop(owner_intent, [])
             for rule in owned:
-                self._tables[rule.device].discard(rule.rule_id)
+                self._tables[rule.device].discard(rule)
                 self._keys.discard(rule.key)
+                self._ids.discard(rule.rule_id)
             self._total -= len(owned)
             return len(owned)
 
@@ -323,14 +401,9 @@ class Fabric:
             for table in self._tables.values():
                 table.clear()
             self._keys.clear()
+            self._ids.clear()
             self._by_owner.clear()
             self._total = 0
-
-    def _match(self, device: str, in_port: int, header: PacketHeader) -> FlowRule | None:
-        for rule in self._tables[device]:
-            if rule.selector.matches(in_port, header):
-                return rule
-        return None
 
     def inject(self, ingress: ConnectPoint, header: PacketHeader) -> DeliveryReport:
         """Walk a packet from an ingress point through the tables.
@@ -345,6 +418,7 @@ class Fabric:
             if not self._topo.has_connect_point(ingress):
                 raise UnknownDeviceError(f"unknown connect point {ingress}")
             ttl = len(self._topo.device_ids) + 1
+            tables = self._tables
             delivered: set[tuple[ConnectPoint, int]] = set()
             dropped: set[str] = set()
             misses: set[str] = set()
@@ -355,7 +429,7 @@ class Fabric:
                     raise LoopDetectedError(
                         f"packet exceeded TTL {ttl} at device {item.device}"
                     )
-                rule = self._match(item.device, item.in_port, item.header)
+                rule = tables[item.device].match(item.in_port, item.header)
                 if rule is None:
                     misses.add(item.device)
                     continue

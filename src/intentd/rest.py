@@ -35,10 +35,20 @@ from .topology import ConnectPoint
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8181
+# a request announcing a longer body is refused with 413 before any of it is read
+MAX_BODY_BYTES = 1 << 20
 
 
 class RequestSchemaError(ValueError):
-    """Body is syntactically JSON but does not fit the request schema."""
+    """The request body is missing, malformed, or does not fit the schema."""
+
+    status = 400
+
+
+class BodyTooLargeError(RequestSchemaError):
+    """Content-Length exceeds MAX_BODY_BYTES."""
+
+    status = 413
 
 
 _TYPE_FIELDS = {
@@ -155,6 +165,8 @@ class _ApiHandler(BaseHTTPRequestHandler):
     def _reply(self, status: int, body: dict | list | None) -> None:
         payload = b"" if body is None else json.dumps(body).encode("utf-8")
         self.send_response(status)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if payload:
             self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -166,7 +178,19 @@ class _ApiHandler(BaseHTTPRequestHandler):
         self._reply(status, {"error": reason})
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0))
+        # a refused body stays unread, so the connection cannot carry another request
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True
+            raise RequestSchemaError(
+                f"Content-Length must be a non-negative decimal, got {declared!r}"
+            )
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise BodyTooLargeError(
+                f"body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}"
+            )
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw)
@@ -187,7 +211,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
             doc = self._read_json()
             request, priority, selector = parse_intent_document(doc)
         except RequestSchemaError as exc:
-            self._error(400, str(exc))
+            self._error(exc.status, str(exc))
             return
         try:
             intent_id = controller.submit(request, priority=priority, selector=selector)
@@ -211,7 +235,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise RequestSchemaError("count must be a positive integer")
         except RequestSchemaError as exc:
-            self._error(400, str(exc))
+            self._error(exc.status, str(exc))
             return
         installed = failed = 0
         try:

@@ -358,3 +358,25 @@ class TestConfigFromArgs:
     def test_bad_workload_list_rejected(self):
         with pytest.raises(ValueError):
             config_from_args(self.parse_bench("--workloads", "30,20"))
+
+    def test_bench_command_ends_with_fits_and_ratios(self, tmp_path, capsys):
+        from intentd.cli import main
+
+        code = main(
+            [
+                "bench",
+                "--types", "P2P",
+                "--interfaces", "CLI,REST",
+                "--workloads", "2,4,6",
+                "--iterations", "2",
+                "--saturation", "0",
+                "--rest-endpoint", "127.0.0.1:0",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "per-cell linear fits" in out
+        assert "  P2P/CLI: " in out and "  P2P/REST: " in out
+        assert "REST/CLI mean-time ratio: min=" in out
+        assert f"wrote {tmp_path}" in out

@@ -2,6 +2,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intentd.errors import (
     DuplicateRuleError,
@@ -151,6 +153,38 @@ class TestInstall:
         with pytest.raises(DuplicateRuleError):
             fabric.install_rules([rule(D1, 1, 2), rule(D1, 1, 2)])
 
+    @pytest.mark.parametrize(
+        "reuse",
+        [
+            lambda: rule(D1, 3, 2, owner=2, rule_id=5),  # another selector and owner
+            lambda: rule(D1, 1, 2, priority=500, owner=1, rule_id=5),  # new priority
+            lambda: rule(D2, 1, 2, owner=1, rule_id=5),  # another device
+        ],
+        ids=["other-selector", "new-priority", "other-device"],
+    )
+    def test_live_rule_id_rejected(self, chain3, reuse):
+        fabric = Fabric(chain3)
+        live = rule(D1, 1, 2, owner=1, rule_id=5)
+        fabric.install_rules([live])
+        with pytest.raises(DuplicateRuleError):
+            fabric.install_rules([rule(D3, 1, 2, owner=3), reuse()])
+        assert fabric.rule_count() == 1
+        assert fabric.rules_for(D1) == [live]
+        assert fabric.rules_for(D3) == []
+        assert fabric.remove_rules(1) == 1
+        assert (fabric.rule_count(), fabric.rules_for(D1)) == (0, [])
+        fabric.install_rules([reuse()])  # a removed rule frees its id
+        assert fabric.rule_count() == 1
+
+    def test_rule_id_repeated_in_batch_rejected(self, chain3):
+        fabric = Fabric(chain3)
+        with pytest.raises(DuplicateRuleError):
+            fabric.install_rules(
+                [rule(D1, 1, 2, owner=1, rule_id=6), rule(D2, 1, 2, owner=2, rule_id=6)]
+            )
+        assert fabric.rule_count() == 0
+        assert fabric.rules_for(D1) == fabric.rules_for(D2) == []
+
     def test_per_device_capacity(self, chain3):
         fabric = Fabric(chain3, device_rule_cap=2)
         fabric.install_rules([rule(D1, 1, 2, owner=1), rule(D1, 2, 1, owner=2)])
@@ -212,6 +246,27 @@ class TestMatchOrder:
         assert first.packet_count == 1
         assert bounce.packet_count == 0
 
+    def test_higher_priority_wildcard_beats_exact_match(self, chain3):
+        fabric = Fabric(chain3)
+        exact = rule(D1, 1, 2, priority=100, owner=1, rule_id=10, eth_dst=DEFAULT_HEADER.eth_dst)
+        fabric.install_rules([exact])  # its field combination is probed first
+        wildcard = rule(D1, 1, (), priority=200, owner=2, rule_id=20)
+        fabric.install_rules([wildcard])
+        report = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
+        assert report.dropped_at == frozenset({D1})
+        assert (wildcard.packet_count, exact.packet_count) == (1, 0)
+
+    def test_equal_priority_lower_id_wins_across_field_combinations(self, chain3):
+        fabric = Fabric(chain3)
+        exact = rule(D1, 1, 1, owner=1, rule_id=20, eth_dst=DEFAULT_HEADER.eth_dst)
+        fabric.install_rules([exact])  # its field combination is probed first
+        wildcard = rule(D1, 1, 2, owner=2, rule_id=10)
+        fabric.install_rules([wildcard])
+        report = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
+        # the lower id steers the packet toward d2, whose table is empty
+        assert report.misses == frozenset({D2})
+        assert (wildcard.packet_count, exact.packet_count) == (1, 0)
+
     def test_table_iterates_priority_then_id(self, chain3):
         fabric = Fabric(chain3)
         low = rule(D1, 1, 2, priority=10, owner=1)
@@ -225,7 +280,11 @@ def numbered(rule_id, priority, owner=1):
 
 
 def match_order(table):
-    return [(r.priority, r.rule_id) for r in table]
+    """(priority, rule_id) in iteration order; the walk must pick the first."""
+    order = [(r.priority, r.rule_id) for r in table]
+    hit = table.match(1, DEFAULT_HEADER)
+    assert (hit and (hit.priority, hit.rule_id)) == (order[0] if order else None)
+    return order
 
 
 class TestTableOrder:
@@ -246,20 +305,24 @@ class TestTableOrder:
         rules = [numbered(rule_id, 100) for rule_id in (1, 2, 3, 4)]
         for r in rules:
             table.add(r)
-        table.discard(2)
-        table.discard(4)
+        table.discard(rules[1])
+        table.discard(rules[3])
         assert match_order(table) == [(100, 1), (100, 3)]
         table.add(rules[1])
         table.add(rules[3])
         assert match_order(table) == [(100, 1), (100, 2), (100, 3), (100, 4)]
-        table.add(numbered(3, 500))  # same id, new priority
-        assert match_order(table) == [(500, 3), (100, 1), (100, 2), (100, 4)]
+        table.discard(rules[0])
+        assert match_order(table) == [(100, 2), (100, 3), (100, 4)]
 
     def test_discard_after_out_of_order_add_keeps_order(self):
         table = FlowTable(D1)
-        for rule_id, priority in [(1, 100), (2, 100), (3, 200), (4, 100), (5, 300)]:
-            table.add(numbered(rule_id, priority))
-        table.discard(3)
+        rules = {
+            rule_id: numbered(rule_id, priority)
+            for rule_id, priority in [(1, 100), (2, 100), (3, 200), (4, 100), (5, 300)]
+        }
+        for r in rules.values():
+            table.add(r)
+        table.discard(rules[3])
         assert match_order(table) == [(300, 5), (100, 1), (100, 2), (100, 4)]
         table.add(numbered(6, 100))
         table.add(numbered(7, 200))
@@ -284,6 +347,77 @@ class TestTableOrder:
         report = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
         assert report.dropped_at == frozenset({D1})
         assert (drop.packet_count, low.packet_count) == (1, 0)
+
+
+_MACS = ("aa:aa:aa:aa:aa:01", "aa:aa:aa:aa:aa:02")
+# packets over the selector pools' values, untagged included; none carries
+# vlan 8, so a rule on it never matches
+_PACKETS = [
+    (in_port, PacketHeader(src, dst, vlan))
+    for in_port in (1, 2)
+    for src in _MACS
+    for dst in _MACS
+    for vlan in (None, 7)
+]
+_selectors = st.builds(
+    TrafficSelector,
+    in_port=st.sampled_from([None, 1, 2]),
+    eth_src=st.sampled_from([None, *_MACS]),
+    eth_dst=st.sampled_from([None, *_MACS]),
+    vlan=st.sampled_from([None, 7, 8]),
+)
+_table_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"), st.integers(1, 200), st.sampled_from([100, 200, 300]), _selectors
+        ),
+        st.tuples(st.just("discard"), st.integers(0, 10**6)),
+        st.just(("clear",)),
+    ),
+    max_size=40,
+)
+
+
+def linear_match(rules, in_port, header):
+    """The reference: the first rule in match order whose selector matches."""
+    for r in sorted(rules, key=lambda r: (-r.priority, r.rule_id)):
+        if r.selector.matches(in_port, header):
+            return r
+    return None
+
+
+class TestTupleSpaceMatch:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_table_ops)
+    def test_match_equals_linear_scan(self, ops):
+        table = FlowTable(D1)
+        live: dict[int, FlowRule] = {}
+        for op in ops:
+            if op[0] == "add":
+                _, rule_id, priority, selector = op
+                if rule_id in live:
+                    continue  # the fabric keeps rule ids unique
+                new = FlowRule(
+                    rule_id, D1, selector, TrafficTreatment(outputs=(2,)), 1, priority
+                )
+                table.add(new)
+                live[rule_id] = new
+            elif op[0] == "discard":
+                if live:
+                    gone = list(live.values())[op[1] % len(live)]
+                    table.discard(gone)
+                    del live[gone.rule_id]
+            else:
+                table.clear()
+                live.clear()
+            assert len(table) == len(live)
+            assert list(table) == sorted(
+                live.values(), key=lambda r: (-r.priority, r.rule_id)
+            )
+            for in_port, header in _PACKETS:
+                assert table.match(in_port, header) is linear_match(
+                    live.values(), in_port, header
+                )
 
 
 class TestInject:

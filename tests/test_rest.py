@@ -1,8 +1,11 @@
 """HTTP surface: routing, status codes, and schema strictness."""
+import socket
+
 import pytest
 
 from intentd.intents import Controller
 from intentd.rest import (
+    MAX_BODY_BYTES,
     RestClient,
     RestServer,
     RequestSchemaError,
@@ -128,6 +131,35 @@ class TestSchemaStrictness:
             parse_intent_document(p2p_doc(color="blue"))
         with pytest.raises(RequestSchemaError, match="missing"):
             parse_intent_document({"type": "P2P", "ingress": f"{D1}/1"})
+
+
+class TestContentLength:
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            ("abc", 400),
+            ("-5", 400),
+            ("+5", 400),
+            ("1.5", 400),
+            ("", 400),
+            (str(MAX_BODY_BYTES + 1), 413),
+            ("99999999999999999999", 413),
+        ],
+    )
+    def test_bad_length_gets_a_status_line(self, rest, length, status):
+        ctrl, client = rest
+        head = (
+            f"POST /intents HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection((client.host, client.port), timeout=5) as sock:
+            sock.sendall(head.encode("ascii"))
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after answering
+                reply += chunk
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in reply
+        assert ctrl.live_intents() == 0
+        assert client.health()[0] == 200
 
 
 class TestQueryRoutes:
