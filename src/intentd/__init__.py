@@ -1,13 +1,10 @@
-"""intentd: a miniature intent-based SDN controller on a simulated fabric."""
+"""intentd: a miniature intent-based SDN controller on a simulated fabric.
 
-from .bench import (
-    BenchmarkConfig,
-    BenchmarkSample,
-    BenchResults,
-    BenchRunner,
-    SaturationResult,
-    emit_report,
-)
+The package re-exports the core model only; the northbound interfaces, the
+benchmark and the statistics helpers are imported from `intentd.cli`,
+`intentd.rest`, `intentd.bench` and `intentd.stats`.
+"""
+
 from .fabric import (
     DeliveryReport,
     Fabric,
@@ -26,8 +23,6 @@ from .intents import (
     PointToPoint,
     SingleToMultiPoint,
 )
-from .rest import RestClient, RestServer
-from .stats import LinearFit, SummaryStats, fit_linear, summarize
 from .topology import (
     ConnectPoint,
     Link,
@@ -42,10 +37,6 @@ from .topology import (
 )
 
 __all__ = [
-    "BenchResults",
-    "BenchRunner",
-    "BenchmarkConfig",
-    "BenchmarkSample",
     "ConnectPoint",
     "Controller",
     "DeliveryReport",
@@ -54,30 +45,22 @@ __all__ = [
     "HostToHost",
     "Intent",
     "IntentState",
-    "LinearFit",
     "Link",
     "MultiToSinglePoint",
     "PacketHeader",
     "Path",
     "PointToPoint",
-    "RestClient",
-    "RestServer",
-    "SaturationResult",
     "SingleToMultiPoint",
-    "SummaryStats",
     "Topology",
     "TrafficSelector",
     "TrafficTreatment",
     "VlanAction",
     "default_topology",
-    "emit_report",
-    "fit_linear",
     "host_mac",
     "load_topology",
     "load_topology_file",
     "serialize_topology",
     "shortest_path",
-    "summarize",
 ]
 
 __version__ = "0.1.0"

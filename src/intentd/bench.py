@@ -25,6 +25,7 @@ from .intents import (
     MultiToSinglePoint,
     PointToPoint,
     SingleToMultiPoint,
+    request_document,
 )
 from .rest import RestClient, RestServer
 from .stats import LinearFit, SummaryStats, fit_linear, summarize
@@ -277,7 +278,7 @@ class BenchRunner:
             raise UnreachableEndpointError(
                 f"health check against {self.rest_endpoint_in_use()} returned {status}"
             )
-        body = json.dumps(_request_document(request)).encode("utf-8")
+        body = json.dumps(request_document(request)).encode("utf-8")
         installed = 0
         failed = 0
         post = client.post_intent
@@ -416,28 +417,6 @@ class BenchRunner:
             "finished_unix": time.time(),
         }
         return results
-
-
-def _request_document(request: IntentRequest) -> dict:
-    if isinstance(request, PointToPoint):
-        return {
-            "type": "P2P",
-            "ingress": str(request.ingress),
-            "egress": str(request.egress),
-        }
-    if isinstance(request, SingleToMultiPoint):
-        return {
-            "type": "S2M",
-            "ingress": str(request.ingress),
-            "egresses": [str(cp) for cp in sorted(request.egresses)],
-        }
-    if isinstance(request, MultiToSinglePoint):
-        return {
-            "type": "M2S",
-            "ingresses": [str(cp) for cp in sorted(request.ingresses)],
-            "egress": str(request.egress),
-        }
-    raise ValueError(f"no benchmark document for {type(request).__name__}")
 
 
 # -- reporting --------------------------------------------------------------

@@ -16,14 +16,11 @@ from dataclasses import dataclass
 from .errors import IntentdError, IntentValidationError, StoreCapacityError
 from .fabric import DEFAULT_PRIORITY, TrafficSelector
 from .intents import (
+    REQUEST_TYPES,
     Controller,
-    HostToHost,
+    FieldKind,
     IntentRequest,
     IntentState,
-    MultiToSinglePoint,
-    PointToPoint,
-    SingleToMultiPoint,
-    intent_document,
     validate_request,
 )
 from .topology import ConnectPoint, Topology, default_topology, load_topology_file
@@ -120,14 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help=f"topology JSON file (default: ${TOPOLOGY_ENV_VAR} or built-in chain)",
     )
-    common.add_argument(
+
+    add_common = argparse.ArgumentParser(add_help=False, parents=[common])
+    add_common.add_argument(
         "--output",
         choices=("table", "json", "csv"),
         default="table",
         help="result format",
     )
-
-    add_common = argparse.ArgumentParser(add_help=False, parents=[common])
     add_common.add_argument(
         "--count", type=_positive_int, default=1, metavar="N",
         help="submit the intent N times (default 1)",
@@ -137,47 +134,26 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"flow rule priority (default {DEFAULT_PRIORITY})",
     )
 
-    p2p = sub.add_parser(
-        "add-point-to-point-intent",
-        parents=[add_common],
-        help="connect one ingress point to one egress point",
+    add_commands = (
+        ("add-point-to-point-intent", "P2P", "connect one ingress point to one egress point"),
+        ("add-single-to-multi-point-intent", "S2M",
+         "connect one ingress point to several egress points"),
+        ("add-multi-to-single-point-intent", "M2S",
+         "connect several ingress points to one egress point, given last"),
+        ("add-host-to-host-intent", "H2H", "connect two hosts in both directions"),
     )
-    p2p.add_argument("ingress", type=_connect_point)
-    p2p.add_argument("egress", type=_connect_point)
-
-    s2m = sub.add_parser(
-        "add-single-to-multi-point-intent",
-        parents=[add_common],
-        help="connect one ingress point to several egress points",
-    )
-    s2m.add_argument("ingress", type=_connect_point)
-    s2m.add_argument("egresses", type=_connect_point, nargs="+")
-
-    m2s = sub.add_parser(
-        "add-multi-to-single-point-intent",
-        parents=[add_common],
-        help="connect several ingress points to one egress point",
-    )
-    m2s.add_argument(
-        "points", type=_connect_point, nargs="+",
-        metavar="INGRESS... EGRESS",
-        help="two or more connect points; the last one is the egress",
-    )
-
-    h2h = sub.add_parser(
-        "add-host-to-host-intent",
-        parents=[add_common],
-        help="connect two hosts in both directions",
-    )
-    h2h.add_argument("one")
-    h2h.add_argument("two")
-
-    sub.add_parser("intents", parents=[common], help="list stored intents")
-
-    withdraw = sub.add_parser(
-        "withdraw", parents=[common], help="withdraw an installed intent"
-    )
-    withdraw.add_argument("intent_id", type=int)
+    # positionals are named after the request document's fields
+    positional = {
+        FieldKind.POINT: {"type": _connect_point},
+        FieldKind.POINT_SET: {"type": _connect_point, "nargs": "+"},
+        FieldKind.HOST: {},
+    }
+    for command, type_name, help_text in add_commands:
+        add = sub.add_parser(command, parents=[add_common], help=help_text)
+        add.set_defaults(type=type_name)
+        _, fields = REQUEST_TYPES[type_name]
+        for name, kind in fields.items():
+            add.add_argument(name, **positional[kind])
 
     serve = sub.add_parser(
         "serve", parents=[common], help="run the REST interface over this controller"
@@ -224,22 +200,11 @@ def _print_timed(result: TimedResult, fmt: str) -> None:
         print(" ".join(f"{k}={v}" for k, v in row.items()))
 
 
-def _request_from_args(args: argparse.Namespace) -> IntentRequest:
-    if args.command == "add-point-to-point-intent":
-        return PointToPoint(args.ingress, args.egress)
-    if args.command == "add-single-to-multi-point-intent":
-        return SingleToMultiPoint(args.ingress, frozenset(args.egresses))
-    if args.command == "add-multi-to-single-point-intent":
-        if len(args.points) < 2:
-            raise IntentValidationError("need at least one ingress and one egress")
-        return MultiToSinglePoint(frozenset(args.points[:-1]), args.points[-1])
-    return HostToHost(args.one, args.two)
-
-
 def run_add_command(args: argparse.Namespace, controller: Controller) -> int:
     """Validate, run the timed loop, print the result; returns the exit code."""
+    cls, fields = REQUEST_TYPES[args.type]
+    request = cls(*(getattr(args, name) for name in fields))
     try:
-        request = _request_from_args(args)
         validate_request(controller.topology, request)
     except IntentValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -248,33 +213,6 @@ def run_add_command(args: argparse.Namespace, controller: Controller) -> int:
     _print_timed(result, args.output)
     if result.failed > 0 or result.submitted < args.count:
         return EXIT_PARTIAL
-    return EXIT_OK
-
-
-def run_query_command(args: argparse.Namespace, controller: Controller) -> int:
-    docs = [intent_document(controller, intent) for intent in controller.list()]
-    if args.output == "json":
-        print(json.dumps(docs, indent=2))
-    elif args.output == "csv":
-        print("id,type,state,rule_count")
-        for doc in docs:
-            print(f"{doc['id']},{doc['type']},{doc['state']},{doc['rule_count']}")
-    else:
-        print(f"{'ID':>6}  {'TYPE':<4}  {'STATE':<10}  {'RULES':>5}")
-        for doc in docs:
-            print(
-                f"{doc['id']:>6}  {doc['type']:<4}  {doc['state']:<10}  {doc['rule_count']:>5}"
-            )
-    return EXIT_OK
-
-
-def run_withdraw_command(args: argparse.Namespace, controller: Controller) -> int:
-    try:
-        controller.withdraw(args.intent_id)
-    except IntentdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"withdrawn {args.intent_id}")
     return EXIT_OK
 
 
@@ -344,12 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         controller = Controller(topology, capacity=args.capacity)
         return _run_serve(args, controller)
 
-    controller = Controller(topology)
-    if args.command == "intents":
-        return run_query_command(args, controller)
-    if args.command == "withdraw":
-        return run_withdraw_command(args, controller)
-    return run_add_command(args, controller)
+    return run_add_command(args, Controller(topology))
 
 
 if __name__ == "__main__":

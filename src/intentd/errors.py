@@ -66,5 +66,11 @@ class IllegalStateError(IntentdError):
     """The requested lifecycle transition is not allowed from the current state."""
 
 
+class RequestSchemaError(IntentdError, ValueError):
+    """A request document is missing, malformed, or does not fit the schema."""
+
+    status = 400  # the HTTP status the REST interface answers with
+
+
 class UnreachableEndpointError(IntentdError):
     """The benchmark could not reach the configured REST endpoint."""

@@ -25,7 +25,7 @@ DEFAULT_PRIORITY = 100
 def _check_mac(value: str | None, what: str) -> str | None:
     if value is None:
         return None
-    lowered = value.lower()
+    lowered = value.lower() if isinstance(value, str) else ""
     if not MAC_RE.match(lowered):
         raise ValueError(f"bad {what}: {value!r}")
     return lowered
@@ -40,7 +40,7 @@ def _check_in_port(port: int) -> int:
 def _check_vlan(value: int | None) -> int | None:
     if value is None:
         return None
-    if not isinstance(value, int) or not 0 <= value <= 4095:
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 4095:
         raise ValueError(f"vlan id out of range: {value!r}")
     return value
 

@@ -9,7 +9,7 @@ import enum
 import itertools
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Any, Callable, Union
 
 from .errors import (
     CompileError,
@@ -17,6 +17,7 @@ from .errors import (
     IllegalStateError,
     IntentValidationError,
     NoPathError,
+    RequestSchemaError,
     StoreCapacityError,
     UnknownIntentError,
 )
@@ -91,6 +92,90 @@ class HostToHost:
 IntentRequest = Union[PointToPoint, SingleToMultiPoint, MultiToSinglePoint, HostToHost]
 
 
+class FieldKind(enum.Enum):
+    """What one request document field holds; the value names it in errors."""
+
+    POINT = "connect-point string"
+    POINT_SET = "list of connect-point strings"
+    HOST = "host-id string"
+
+
+# The request document format, shared by every northbound surface: each type
+# name maps to its request class and to its fields, in constructor order.
+REQUEST_TYPES: dict[str, tuple[type, dict[str, FieldKind]]] = {
+    "P2P": (PointToPoint, {"ingress": FieldKind.POINT, "egress": FieldKind.POINT}),
+    "S2M": (SingleToMultiPoint, {"ingress": FieldKind.POINT, "egresses": FieldKind.POINT_SET}),
+    "M2S": (MultiToSinglePoint, {"ingresses": FieldKind.POINT_SET, "egress": FieldKind.POINT}),
+    "H2H": (HostToHost, {"one": FieldKind.HOST, "two": FieldKind.HOST}),
+}
+# the class names are accepted on the wire too; documents carry the short form
+REQUEST_TYPES |= {cls.__name__: (cls, fields) for cls, fields in REQUEST_TYPES.values()}
+_COMMON_FIELDS = ("type", "priority", "selector")
+_SELECTOR_FIELDS = ("eth_src", "eth_dst", "vlan")
+
+
+def request_document(request: IntentRequest) -> dict:
+    """The document of a request; point sets are listed as sorted strings."""
+    doc: dict = {"type": request.type_name}
+    _, fields = REQUEST_TYPES[request.type_name]
+    for name, kind in fields.items():
+        value = getattr(request, name)
+        if kind is FieldKind.POINT:
+            value = str(value)
+        elif kind is FieldKind.POINT_SET:
+            value = [str(cp) for cp in sorted(value)]
+        doc[name] = value
+    return doc
+
+
+def _decode_field(kind: FieldKind, name: str, value: Any) -> Any:
+    if kind is FieldKind.POINT_SET:
+        if not isinstance(value, list):
+            raise RequestSchemaError(f"{name} must be a {kind.value}")
+        return frozenset(_decode_field(FieldKind.POINT, name, item) for item in value)
+    if not isinstance(value, str):
+        raise RequestSchemaError(f"{name} must be a {kind.value}")
+    if kind is FieldKind.HOST:
+        return value
+    try:
+        return ConnectPoint.parse(value)
+    except ValueError as exc:
+        raise RequestSchemaError(str(exc)) from None
+
+
+def parse_intent_document(
+    doc: Any, *, extra_fields: tuple[str, ...] = ()
+) -> tuple[IntentRequest, int, TrafficSelector]:
+    """Strictly parse a request document into (request, priority, selector)."""
+    if not isinstance(doc, dict):
+        raise RequestSchemaError("request body must be a JSON object")
+    type_name = doc.get("type")
+    if not isinstance(type_name, str) or type_name not in REQUEST_TYPES:
+        raise RequestSchemaError(f"type must be one of {sorted(REQUEST_TYPES)}")
+    cls, fields = REQUEST_TYPES[type_name]
+    extra = set(doc) - set(fields) - set(_COMMON_FIELDS) - set(extra_fields)
+    if extra:
+        raise RequestSchemaError(f"unknown fields: {sorted(extra)}")
+    missing = [name for name in fields if name not in doc]
+    if missing:
+        raise RequestSchemaError(f"missing fields: {missing}")
+    request = cls(*(_decode_field(kind, name, doc[name]) for name, kind in fields.items()))
+
+    priority = doc.get("priority", DEFAULT_PRIORITY)
+    if not isinstance(priority, int) or isinstance(priority, bool) or priority < 1:
+        raise RequestSchemaError("priority must be a positive integer")
+    selector = doc.get("selector", {})
+    if not isinstance(selector, dict):
+        raise RequestSchemaError("selector must be an object")
+    extra = set(selector) - set(_SELECTOR_FIELDS)
+    if extra:
+        raise RequestSchemaError(f"unknown selector fields: {sorted(extra)}")
+    try:
+        return request, priority, TrafficSelector(**selector)
+    except ValueError as exc:
+        raise RequestSchemaError(str(exc)) from None
+
+
 @dataclass
 class Intent:
     """One stored intent and its lifecycle state."""
@@ -101,7 +186,8 @@ class Intent:
     priority: int
     state: IntentState
     failure: str | None = None
-    child_ids: tuple[int, ...] = ()
+    # set once a host-to-host parent has been expanded, even to no legs
+    child_ids: tuple[int, ...] | None = None
 
     @property
     def type_name(self) -> str:
@@ -461,7 +547,7 @@ class Controller:
             raise IllegalStateError(
                 f"intent {intent_id} is {intent.state.value}, not INSTALLED"
             )
-        for child_id in intent.child_ids:
+        for child_id in intent.child_ids or ():
             if self.store.get(child_id).state is IntentState.INSTALLED:
                 self.withdraw(child_id)
         self.fabric.remove_rules(intent_id)
@@ -503,19 +589,8 @@ def intent_document(controller: Controller, intent: Intent) -> dict:
         "state": intent.state.value,
         "rule_count": controller.rule_count(intent.id),
     }
-    request = intent.request
-    if isinstance(request, PointToPoint):
-        doc["ingress"] = str(request.ingress)
-        doc["egress"] = str(request.egress)
-    elif isinstance(request, SingleToMultiPoint):
-        doc["ingress"] = str(request.ingress)
-        doc["egresses"] = [str(cp) for cp in sorted(request.egresses)]
-    elif isinstance(request, MultiToSinglePoint):
-        doc["ingresses"] = [str(cp) for cp in sorted(request.ingresses)]
-        doc["egress"] = str(request.egress)
-    elif isinstance(request, HostToHost):
-        doc["one"] = request.one
-        doc["two"] = request.two
+    doc |= request_document(intent.request)  # keeps "type" in second place
+    if intent.child_ids is not None:
         doc["children"] = [str(c) for c in intent.child_ids]
     if intent.failure is not None:
         doc["failure"] = intent.failure

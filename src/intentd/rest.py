@@ -16,137 +16,26 @@ from typing import Any
 from .errors import (
     IllegalStateError,
     IntentValidationError,
+    RequestSchemaError,
     StoreCapacityError,
     UnknownIntentError,
     UnreachableEndpointError,
 )
-from .fabric import DEFAULT_PRIORITY, TrafficSelector
-from .intents import (
-    Controller,
-    HostToHost,
-    IntentRequest,
-    IntentState,
-    MultiToSinglePoint,
-    PointToPoint,
-    SingleToMultiPoint,
-    intent_document,
-)
-from .topology import ConnectPoint
+from .intents import Controller, IntentState, intent_document, parse_intent_document
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8181
 # a request announcing a longer body is refused with 413 before any of it is read
 MAX_BODY_BYTES = 1 << 20
-
-
-class RequestSchemaError(ValueError):
-    """The request body is missing, malformed, or does not fit the schema."""
-
-    status = 400
+# a larger /intents/batch count is a 400, so one request cannot hold a handler
+# thread, or grow the store, without bound
+MAX_BATCH_COUNT = 20_000
 
 
 class BodyTooLargeError(RequestSchemaError):
     """Content-Length exceeds MAX_BODY_BYTES."""
 
     status = 413
-
-
-_TYPE_FIELDS = {
-    "P2P": ("ingress", "egress"),
-    "S2M": ("ingress", "egresses"),
-    "M2S": ("ingresses", "egress"),
-    "H2H": ("one", "two"),
-}
-# long spellings accepted on the wire; responses always carry the short form
-_TYPE_ALIASES = {
-    "PointToPoint": "P2P",
-    "SingleToMultiPoint": "S2M",
-    "MultiToSinglePoint": "M2S",
-    "HostToHost": "H2H",
-}
-_COMMON_FIELDS = ("type", "priority", "selector")
-
-
-def _parse_point(value: Any, field: str) -> ConnectPoint:
-    if not isinstance(value, str):
-        raise RequestSchemaError(f"{field} must be a connect-point string")
-    try:
-        return ConnectPoint.parse(value)
-    except ValueError as exc:
-        raise RequestSchemaError(str(exc)) from None
-
-
-def _parse_point_list(value: Any, field: str) -> frozenset[ConnectPoint]:
-    if not isinstance(value, list):
-        raise RequestSchemaError(f"{field} must be a list of connect-point strings")
-    return frozenset(_parse_point(item, field) for item in value)
-
-
-def _parse_selector(value: Any) -> TrafficSelector:
-    if not isinstance(value, dict):
-        raise RequestSchemaError("selector must be an object")
-    allowed = {"eth_src", "eth_dst", "vlan"}
-    extra = set(value) - allowed
-    if extra:
-        raise RequestSchemaError(f"unknown selector fields: {sorted(extra)}")
-    try:
-        return TrafficSelector(
-            eth_src=value.get("eth_src"),
-            eth_dst=value.get("eth_dst"),
-            vlan=value.get("vlan"),
-        )
-    except ValueError as exc:
-        raise RequestSchemaError(str(exc)) from None
-
-
-def parse_intent_document(
-    doc: Any, *, extra_fields: tuple[str, ...] = ()
-) -> tuple[IntentRequest, int, TrafficSelector]:
-    """Strictly parse a request document into (request, priority, selector)."""
-    if not isinstance(doc, dict):
-        raise RequestSchemaError("request body must be a JSON object")
-    type_name = doc.get("type")
-    if type_name in _TYPE_ALIASES:
-        type_name = _TYPE_ALIASES[type_name]
-    if type_name not in _TYPE_FIELDS:
-        raise RequestSchemaError(
-            f"type must be one of {sorted(_TYPE_FIELDS) + sorted(_TYPE_ALIASES)}"
-        )
-    required = _TYPE_FIELDS[type_name]
-    allowed = set(required) | set(_COMMON_FIELDS) | set(extra_fields)
-    extra = set(doc) - allowed
-    if extra:
-        raise RequestSchemaError(f"unknown fields: {sorted(extra)}")
-    missing = [f for f in required if f not in doc]
-    if missing:
-        raise RequestSchemaError(f"missing fields: {missing}")
-
-    if type_name == "P2P":
-        request: IntentRequest = PointToPoint(
-            _parse_point(doc["ingress"], "ingress"),
-            _parse_point(doc["egress"], "egress"),
-        )
-    elif type_name == "S2M":
-        request = SingleToMultiPoint(
-            _parse_point(doc["ingress"], "ingress"),
-            _parse_point_list(doc["egresses"], "egresses"),
-        )
-    elif type_name == "M2S":
-        request = MultiToSinglePoint(
-            _parse_point_list(doc["ingresses"], "ingresses"),
-            _parse_point(doc["egress"], "egress"),
-        )
-    else:
-        one, two = doc["one"], doc["two"]
-        if not isinstance(one, str) or not isinstance(two, str):
-            raise RequestSchemaError("one and two must be host-id strings")
-        request = HostToHost(one, two)
-
-    priority = doc.get("priority", DEFAULT_PRIORITY)
-    if not isinstance(priority, int) or isinstance(priority, bool) or priority < 1:
-        raise RequestSchemaError("priority must be a positive integer")
-    selector = _parse_selector(doc.get("selector", {}))
-    return request, priority, selector
 
 
 class _ApiHandler(BaseHTTPRequestHandler):
@@ -234,6 +123,8 @@ class _ApiHandler(BaseHTTPRequestHandler):
             count = doc.get("count")
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise RequestSchemaError("count must be a positive integer")
+            if count > MAX_BATCH_COUNT:
+                raise RequestSchemaError(f"count {count} exceeds the limit of {MAX_BATCH_COUNT}")
         except RequestSchemaError as exc:
             self._error(exc.status, str(exc))
             return

@@ -14,11 +14,9 @@ from intentd.cli import (
     load_cli_topology,
     main,
     run_add_command,
-    run_query_command,
-    run_withdraw_command,
     timed_add,
 )
-from intentd.intents import Controller, IntentState, PointToPoint
+from intentd.intents import Controller, PointToPoint
 from intentd.topology import ConnectPoint, Topology, device_id, serialize_topology
 from conftest import CHAIN3_DOCUMENT, D1, D2, D3
 
@@ -115,9 +113,10 @@ class TestAddVerbs:
             {ConnectPoint(D1, 1), ConnectPoint(D2, 1)}
         )
 
-    def test_multi_to_single_needs_two_points(self, controller, capsys):
-        args = parse(["add-multi-to-single-point-intent", f"{D3}/2"])
-        assert run_add_command(args, controller) == EXIT_USAGE
+    def test_multi_to_single_needs_two_points(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(["add-multi-to-single-point-intent", f"{D3}/2"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_host_to_host(self, controller, capsys):
         args = parse(["add-host-to-host-intent", "h1", "h2"])
@@ -131,36 +130,6 @@ class TestAddVerbs:
         run_add_command(args, controller)
         (intent,) = controller.list()
         assert intent.priority == 42
-
-
-class TestQueryAndWithdraw:
-    def test_listing_csv(self, controller, capsys):
-        controller.submit(PointToPoint(ConnectPoint(D1, 1), ConnectPoint(D3, 2)))
-        controller.submit(PointToPoint(ConnectPoint(D3, 2), ConnectPoint(D1, 1)))
-        args = parse(["intents", "--output", "csv"])
-        assert run_query_command(args, controller) == EXIT_OK
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "id,type,state,rule_count"
-        assert lines[1] == "1,P2P,INSTALLED,3"
-        assert len(lines) == 3
-
-    def test_listing_json_round_trips(self, controller, capsys):
-        controller.submit(PointToPoint(ConnectPoint(D1, 1), ConnectPoint(D3, 2)))
-        args = parse(["intents", "--output", "json"])
-        run_query_command(args, controller)
-        docs = json.loads(capsys.readouterr().out)
-        assert docs[0]["state"] == "INSTALLED"
-
-    def test_withdraw_round_trip(self, controller, capsys):
-        iid = controller.submit(PointToPoint(ConnectPoint(D1, 1), ConnectPoint(D3, 2)))
-        args = parse(["withdraw", str(iid)])
-        assert run_withdraw_command(args, controller) == EXIT_OK
-        assert controller.installed_rules() == 0
-        assert controller.get(iid).state is IntentState.WITHDRAWN
-
-    def test_withdraw_unknown_is_usage(self, controller, capsys):
-        args = parse(["withdraw", "404"])
-        assert run_withdraw_command(args, controller) == EXIT_USAGE
 
 
 class TestTopologySelection:
@@ -182,7 +151,7 @@ class TestTopologySelection:
     def test_missing_file_is_usage(self, capsys, monkeypatch, tmp_path):
         monkeypatch.delenv(TOPOLOGY_ENV_VAR, raising=False)
         code = main(
-            ["intents", "--topology", str(tmp_path / "absent.json")]
+            ["add-host-to-host-intent", "h1", "h2", "--topology", str(tmp_path / "absent.json")]
         )
         assert code == EXIT_USAGE
 
@@ -220,6 +189,16 @@ class TestMainEndToEnd:
             )
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["intents"], ["withdraw", "1"], ["serve", "--output", "json"], ["bench", "--output", "json"]],
+        ids=["intents", "withdraw", "serve-output", "bench-output"],
+    )
+    def test_removed_surfaces_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == EXIT_USAGE
+
     def test_console_script_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "intentd.cli", "--help"],
@@ -229,28 +208,48 @@ class TestMainEndToEnd:
         )
         assert proc.returncode == 0
         assert "add-point-to-point-intent" in proc.stdout
+        assert proc.stderr == ""
 
 
 class TestInterfaceEquivalence:
-    def test_cli_and_rest_install_identical_rule_shapes(self, chain3, rest):
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            (
+                {"type": "P2P", "ingress": f"{D1}/1", "egress": f"{D3}/2"},
+                ["add-point-to-point-intent", f"{D1}/1", f"{D3}/2"],
+            ),
+            (
+                {"type": "S2M", "ingress": f"{D1}/1", "egresses": [f"{D3}/2"]},
+                ["add-single-to-multi-point-intent", f"{D1}/1", f"{D3}/2"],
+            ),
+            (
+                {"type": "M2S", "ingresses": [f"{D1}/1"], "egress": f"{D3}/2"},
+                ["add-multi-to-single-point-intent", f"{D1}/1", f"{D3}/2"],
+            ),
+            (
+                {"type": "H2H", "one": "h1", "two": "h2"},
+                ["add-host-to-host-intent", "h1", "h2"],
+            ),
+        ],
+        ids=["P2P", "S2M", "M2S", "H2H"],
+    )
+    def test_cli_and_rest_install_identical_rule_shapes(self, chain3, rest, doc, argv):
         _, client = rest
-        status, _ = client.post_intent(
-            {"type": "P2P", "ingress": f"{D1}/1", "egress": f"{D3}/2", "priority": 77}
-        )
+        status, _ = client.post_intent({**doc, "priority": 77})
         assert status == 201
         rest_ctrl = rest[0]
 
         cli_ctrl = Controller(chain3)
-        args = parse(
-            ["add-point-to-point-intent", f"{D1}/1", f"{D3}/2", "--priority", "77"]
-        )
+        args = parse([*argv, "--priority", "77"])
         assert run_add_command(args, cli_ctrl) == EXIT_OK
 
         def shapes(ctrl):
             return {
-                (r.device, r.selector.in_port, r.treatment.outputs, r.priority)
+                (r.device, r.selector, r.treatment.outputs, r.priority)
                 for d in ctrl.topology.device_ids
                 for r in ctrl.fabric.rules_for(d)
             }
 
         assert shapes(rest_ctrl) == shapes(cli_ctrl)
+        assert [i.request for i in rest_ctrl.list()] == [i.request for i in cli_ctrl.list()]

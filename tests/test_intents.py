@@ -1,4 +1,5 @@
-"""Intent lifecycle, compilation, and end-to-end delivery properties."""
+"""Intent lifecycle, compilation, the request codec, and end-to-end delivery."""
+import json
 import random
 
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 from intentd.errors import (
     IllegalStateError,
     IntentValidationError,
+    RequestSchemaError,
     StoreCapacityError,
     UnknownHostError,
     UnknownIntentError,
 )
-from intentd.fabric import Fabric, PacketHeader
+from intentd.fabric import DEFAULT_PRIORITY, Fabric, PacketHeader, TrafficSelector
 from intentd.intents import (
     TRANSITIONS,
     Controller,
@@ -22,8 +24,10 @@ from intentd.intents import (
     PointToPoint,
     SingleToMultiPoint,
     intent_document,
+    parse_intent_document,
+    request_document,
 )
-from intentd.topology import ConnectPoint, device_id, host_mac
+from intentd.topology import ConnectPoint, default_topology, device_id, host_mac
 from conftest import D1, D2, D3, HUB
 from randnet import assert_intent_realized, random_intent, random_topology
 
@@ -323,6 +327,89 @@ class TestFailureRecording:
         doc = intent_document(ctrl, ctrl.get(iid))
         assert doc["state"] == "FAILED"
         assert "failure" in doc
+
+
+CHAIN = default_topology()
+_point = st.sampled_from(CHAIN.edge_points())
+_points = st.frozensets(_point, max_size=4)
+_host = st.sampled_from(sorted(CHAIN.hosts))
+REQUESTS = st.one_of(
+    st.builds(PointToPoint, _point, _point),
+    st.builds(SingleToMultiPoint, _point, _points),
+    st.builds(MultiToSinglePoint, _points, _point),
+    st.builds(HostToHost, _host, _host),
+)
+
+
+def _cp(n, port):
+    return CP(device_id(n), port)
+
+
+class TestDocumentCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(request=REQUESTS)
+    def test_round_trip(self, request):
+        wire = json.loads(json.dumps(request_document(request)))
+        assert parse_intent_document(wire) == (request, DEFAULT_PRIORITY, TrafficSelector())
+
+    # the wire format, field order included, on the built-in chain
+    @pytest.mark.parametrize(
+        "request_, capacity, golden",
+        [
+            (
+                PointToPoint(_cp(1, 3), _cp(5, 3)),
+                None,
+                {"id": "1", "type": "P2P", "state": "INSTALLED", "rule_count": 5,
+                 "ingress": "of:0000000000000001/3", "egress": "of:0000000000000005/3"},
+            ),
+            (
+                SingleToMultiPoint(_cp(1, 3), {_cp(5, 3), _cp(3, 3)}),
+                None,
+                {"id": "1", "type": "S2M", "state": "INSTALLED", "rule_count": 5,
+                 "ingress": "of:0000000000000001/3",
+                 "egresses": ["of:0000000000000003/3", "of:0000000000000005/3"]},
+            ),
+            (
+                MultiToSinglePoint({_cp(3, 3), _cp(1, 3)}, _cp(5, 3)),
+                None,
+                {"id": "1", "type": "M2S", "state": "INSTALLED", "rule_count": 6,
+                 "ingresses": ["of:0000000000000001/3", "of:0000000000000003/3"],
+                 "egress": "of:0000000000000005/3"},
+            ),
+            (
+                HostToHost("h1", "h2"),
+                None,
+                {"id": "1", "type": "H2H", "state": "INSTALLED", "rule_count": 10,
+                 "one": "h1", "two": "h2", "children": ["2", "3"]},
+            ),
+            (
+                HostToHost("h1", "h2"),
+                1,
+                {"id": "1", "type": "H2H", "state": "FAILED", "rule_count": 0,
+                 "one": "h1", "two": "h2", "children": [],
+                 "failure": "store is full (1 live intents)"},
+            ),
+        ],
+        ids=["P2P", "S2M", "M2S", "H2H", "H2H-no-legs"],
+    )
+    def test_golden_documents(self, request_, capacity, golden):
+        ctrl = Controller(CHAIN, capacity=capacity)
+        doc = intent_document(ctrl, ctrl.get(ctrl.submit(request_)))
+        assert list(doc.items()) == list(golden.items())
+
+    @pytest.mark.parametrize(
+        "doc, fragment",
+        [
+            ({"type": ["P2P"]}, "type must be one of"),
+            ({"type": "H2H", "one": "h1", "two": 2}, "two must be a host-id string"),
+            ({"type": "H2H", "one": "h1", "two": "h2", "selector": {"eth_src": 5}}, "eth_src"),
+            ({"type": "H2H", "one": "h1", "two": "h2", "selector": {"vlan": True}}, "vlan"),
+        ],
+        ids=["unhashable-type", "host-not-string", "mac-not-string", "vlan-bool"],
+    )
+    def test_malformed_values_rejected(self, doc, fragment):
+        with pytest.raises(RequestSchemaError, match=fragment):
+            parse_intent_document(doc)
 
 
 class TestRandomInstances:

@@ -5,6 +5,7 @@ import pytest
 
 from intentd.intents import Controller
 from intentd.rest import (
+    MAX_BATCH_COUNT,
     MAX_BODY_BYTES,
     RestClient,
     RestServer,
@@ -216,6 +217,8 @@ class TestBatchRoute:
         _, client = rest
         assert client.post_batch(p2p_doc())[0] == 400
         assert client.post_batch(p2p_doc(count=0))[0] == 400
+        status, body = client.post_batch(p2p_doc(count=MAX_BATCH_COUNT + 1))
+        assert (status, str(MAX_BATCH_COUNT) in body["error"]) == (400, True)
 
     def test_capacity_mid_batch_reports_partial(self, chain3):
         server = RestServer(Controller(chain3, capacity=2), "127.0.0.1", 0).start()
