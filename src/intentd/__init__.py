@@ -12,7 +12,6 @@ from .fabric import (
     PacketHeader,
     TrafficSelector,
     TrafficTreatment,
-    VlanAction,
 )
 from .intents import (
     Controller,
@@ -54,7 +53,6 @@ __all__ = [
     "Topology",
     "TrafficSelector",
     "TrafficTreatment",
-    "VlanAction",
     "default_topology",
     "host_mac",
     "load_topology",

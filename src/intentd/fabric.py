@@ -6,8 +6,8 @@ synthetic packet through the tables to check what a rule set actually does.
 from __future__ import annotations
 
 import threading
-from collections import deque
-from dataclasses import dataclass, field, replace
+from collections import Counter, deque
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
 
@@ -20,6 +20,7 @@ from .errors import (
 from .topology import MAC_RE, ConnectPoint, Topology
 
 DEFAULT_PRIORITY = 100
+_new = object.__new__
 
 
 def _check_mac(value: str | None, what: str) -> str | None:
@@ -31,10 +32,9 @@ def _check_mac(value: str | None, what: str) -> str | None:
     return lowered
 
 
-def _check_in_port(port: int) -> int:
+def _check_in_port(port: int) -> None:
     if port < 1:
         raise ValueError(f"in_port must be >= 1, got {port}")
-    return port
 
 
 def _check_vlan(value: int | None) -> int | None:
@@ -81,16 +81,6 @@ class TrafficSelector:
             and self.vlan is None
         )
 
-    def with_in_port(self, port: int) -> "TrafficSelector":
-        """A copy matching on `port`; only the port needs checking, the other
-        fields were normalised when this selector was built."""
-        selector = object.__new__(TrafficSelector)
-        object.__setattr__(selector, "in_port", _check_in_port(port))
-        object.__setattr__(selector, "eth_src", self.eth_src)
-        object.__setattr__(selector, "eth_dst", self.eth_dst)
-        object.__setattr__(selector, "vlan", self.vlan)
-        return selector
-
     def matches(self, in_port: int, header: PacketHeader) -> bool:
         """True when every set field equals the packet's; the linear
         reference that `FlowTable.match` is tested against."""
@@ -105,45 +95,37 @@ class TrafficSelector:
         return True
 
 
-@dataclass(frozen=True)
-class VlanAction:
-    """push/set attach the given vlan id to the packet, pop removes it."""
-
-    kind: str
-    vlan: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("push", "pop", "set"):
-            raise ValueError(f"bad vlan action kind {self.kind!r}")
-        if self.kind == "pop":
-            if self.vlan is not None:
-                raise ValueError("pop takes no vlan id")
-        elif _check_vlan(self.vlan) is None:
-            raise ValueError(f"{self.kind} needs a vlan id")
-
-    def apply(self, header: PacketHeader) -> PacketHeader:
-        if self.kind == "pop":
-            return replace(header, vlan=None)
-        return replace(header, vlan=self.vlan)
-
-
 @dataclass(frozen=True, slots=True)
 class TrafficTreatment:
-    """Forwarding actions; drop is true exactly when there are no outputs."""
+    """Forwarding actions: copy the packet out of every listed port."""
 
-    outputs: tuple[int, ...] = ()
-    drop: bool = False
-    vlan_action: VlanAction | None = None
+    outputs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        if self.drop != (not self.outputs):
-            raise ValueError("drop must be set exactly when outputs is empty")
+        if not self.outputs:
+            raise ValueError("a treatment needs at least one output port")
 
-    def apply_vlan(self, header: PacketHeader) -> PacketHeader:
-        if self.vlan_action is None:
-            return header
-        return self.vlan_action.apply(header)
+
+class TreatmentCache(dict):
+    """Ports tuple -> the one shared TrafficTreatment for it, made on first use.
+
+    Treatments are immutable, so every rule that outputs to the same ports
+    can hold the same one.  A controller keeps one cache for its topology;
+    its compilers ask only for sorted sets of one device's ports, so the
+    cache is bounded by the topology's port sets.
+    """
+
+    def __missing__(self, outputs: tuple[int, ...]) -> TrafficTreatment:
+        treatment = self[outputs] = TrafficTreatment(outputs)
+        return treatment
+
+
+# slot setters that get past the frozen selector's __setattr__
+_set_in_port = TrafficSelector.in_port.__set__
+_set_eth_src = TrafficSelector.eth_src.__set__
+_set_eth_dst = TrafficSelector.eth_dst.__set__
+_set_vlan = TrafficSelector.vlan.__set__
 
 
 @dataclass(slots=True)
@@ -171,12 +153,53 @@ class FlowRule:
         self.match_key = (sel.in_port, sel.eth_src, sel.eth_dst, sel.vlan)
         self.key = (self.device, self.priority, self.match_key, self.owner_intent)
 
+    @classmethod
+    def compiled(
+        cls,
+        rule_id: int,
+        device: str,
+        selector: TrafficSelector,
+        in_port: int,
+        treatment: TrafficTreatment,
+        owner_intent: int,
+        priority: int,
+    ) -> "FlowRule":
+        """The compilers' rule: `selector` with `in_port` set, out `treatment`.
+
+        Equal to the public constructor's rule from the same fields, but
+        nothing it was built from is checked again: the selector was
+        normalised when its request was parsed, the ports come from the
+        topology and the id from the controller's counter.
+        """
+        if not 0 <= rule_id < 2**64:
+            raise ValueError(f"rule_id out of 64-bit range: {rule_id}")
+        if in_port < 1:
+            raise ValueError(f"in_port must be >= 1, got {in_port}")
+        eth_src, eth_dst, vlan = selector.eth_src, selector.eth_dst, selector.vlan
+        sel = _new(TrafficSelector)
+        _set_in_port(sel, in_port)
+        _set_eth_src(sel, eth_src)
+        _set_eth_dst(sel, eth_dst)
+        _set_vlan(sel, vlan)
+        rule = _new(cls)
+        rule.rule_id = rule_id
+        rule.device = device
+        rule.selector = sel
+        rule.treatment = treatment
+        rule.owner_intent = owner_intent
+        rule.priority = priority
+        rule.packet_count = 0
+        match_key = rule.match_key = (in_port, eth_src, eth_dst, vlan)
+        rule.key = (device, priority, match_key, owner_intent)
+        return rule
+
 
 @dataclass(frozen=True)
 class DeliveryReport:
     """Where one injected packet (and its copies) ended up."""
 
     delivered: frozenset[tuple[ConnectPoint, int]]
+    # always empty: every treatment has an output; kept for callers that read it
     dropped_at: frozenset[str]
     misses: frozenset[str]
 
@@ -188,6 +211,8 @@ def _match_order(rule: FlowRule) -> tuple[int, int]:
 # A probe picks from (in_port, eth_src, eth_dst, vlan, None), read off the
 # packet; a field the selector leaves unset picks the trailing None.
 _UNSET = 4
+# the match key of a selector with no field set, which the fabric refuses
+_MATCH_ANY = (None, None, None, None)
 
 
 class FlowTable:
@@ -265,7 +290,10 @@ class FlowTable:
 
     def match(self, in_port: int, header: PacketHeader) -> FlowRule | None:
         """The first rule in match order whose selector matches, or None."""
-        fields = (in_port, header.eth_src, header.eth_dst, header.vlan, None)
+        return self.lookup((in_port, header.eth_src, header.eth_dst, header.vlan, None))
+
+    def lookup(self, fields: tuple) -> FlowRule | None:
+        """`match` for a packet given as (in_port, eth_src, eth_dst, vlan, None)."""
         index = self._index
         best = None
         for probe in self._probes.values():
@@ -288,14 +316,6 @@ class FlowTable:
         self._len = 0
 
 
-@dataclass
-class _InjectItem:
-    device: str
-    in_port: int
-    header: PacketHeader
-    hops: int
-
-
 class Fabric:
     """All flow tables of one simulated network.
 
@@ -315,6 +335,15 @@ class Fabric:
         self._total_rule_cap = total_rule_cap
         self._tables: dict[str, FlowTable] = {
             dev: FlowTable(dev) for dev in topology.device_ids
+        }
+        # read off the immutable topology once: each device's ports, and the
+        # (device, port) at the far end of every link, keyed by its near end
+        self._ports: dict[str, frozenset[int]] = {
+            dev: topology.ports(dev) for dev in topology.device_ids
+        }
+        self._far_end: dict[tuple[str, int], tuple[str, int]] = {
+            (link.src.device, link.src.port): (link.dst.device, link.dst.port)
+            for link in topology.links
         }
         self._keys: set[tuple] = set()
         self._ids: set[int] = set()
@@ -344,44 +373,50 @@ class Fabric:
     def install_rules(self, rules: Sequence[FlowRule]) -> int:
         """Install a batch atomically; on any error nothing is installed."""
         with self._lock:
-            per_device: dict[str, int] = {}
+            port_sets = self._ports
+            keys, ids = self._keys, self._ids
             batch_keys: set[tuple] = set()
             batch_ids: set[int] = set()
             for rule in rules:
-                table = self._tables.get(rule.device)
-                if table is None:
-                    raise UnknownDeviceError(f"unknown device {rule.device}")
-                if rule.selector.is_empty():
+                device = rule.device
+                ports = port_sets.get(device)
+                if ports is None:
+                    raise UnknownDeviceError(f"unknown device {device}")
+                if rule.match_key == _MATCH_ANY:
                     raise ValueError(f"rule {rule.rule_id} has an empty selector")
-                for port in rule.treatment.outputs:
-                    if port not in self._topo.ports(rule.device):
-                        raise ValueError(
-                            f"rule {rule.rule_id} outputs to missing port {rule.device}/{port}"
-                        )
+                outputs = rule.treatment.outputs
+                if not ports.issuperset(outputs):
+                    port = next(p for p in outputs if p not in ports)
+                    raise ValueError(
+                        f"rule {rule.rule_id} outputs to missing port {device}/{port}"
+                    )
                 key = rule.key
-                if key in self._keys or key in batch_keys:
+                if key in keys or key in batch_keys:
                     raise DuplicateRuleError(
-                        f"duplicate rule on {rule.device} (priority {rule.priority})"
+                        f"duplicate rule on {device} (priority {rule.priority})"
                     )
                 batch_keys.add(key)
-                if rule.rule_id in self._ids or rule.rule_id in batch_ids:
-                    raise DuplicateRuleError(f"rule id {rule.rule_id} is already in use")
-                batch_ids.add(rule.rule_id)
-                per_device[rule.device] = per_device.get(rule.device, 0) + 1
+                rule_id = rule.rule_id
+                if rule_id in ids or rule_id in batch_ids:
+                    raise DuplicateRuleError(f"rule id {rule_id} is already in use")
+                batch_ids.add(rule_id)
 
+            tables = self._tables
             if self._device_rule_cap is not None:
+                per_device = Counter(rule.device for rule in rules)
                 for dev, added in per_device.items():
-                    if len(self._tables[dev]) + added > self._device_rule_cap:
+                    if len(tables[dev]) + added > self._device_rule_cap:
                         raise RuleCapacityError(f"device {dev} rule capacity exceeded")
             if self._total_rule_cap is not None:
                 if self._total + len(rules) > self._total_rule_cap:
                     raise RuleCapacityError("fabric rule capacity exceeded")
 
-            self._keys |= batch_keys
-            self._ids |= batch_ids
+            keys.update(batch_keys)
+            ids.update(batch_ids)
+            by_owner = self._by_owner
             for rule in rules:
-                self._tables[rule.device].add(rule)
-                self._by_owner.setdefault(rule.owner_intent, []).append(rule)
+                tables[rule.device].add(rule)
+                by_owner.setdefault(rule.owner_intent, []).append(rule)
             self._total += len(rules)
             return len(rules)
 
@@ -410,45 +445,34 @@ class Fabric:
 
         Each matched treatment duplicates the packet across its outputs; a
         copy leaving an edge port is delivered there, a copy leaving an
-        infrastructure port continues at the far end of the link.  hop counts
-        include the ingress device, and a branch running past
-        len(devices) + 1 hops raises LoopDetectedError.
+        infrastructure port continues at the far end of the link.  No
+        treatment rewrites the header, so every copy carries the ingress
+        header.  hop counts include the ingress device, and a branch running
+        past len(devices) + 1 hops raises LoopDetectedError.
         """
         with self._lock:
             if not self._topo.has_connect_point(ingress):
                 raise UnknownDeviceError(f"unknown connect point {ingress}")
-            ttl = len(self._topo.device_ids) + 1
+            ttl = len(self._tables) + 1
             tables = self._tables
+            far_end = self._far_end
+            header_fields = (header.eth_src, header.eth_dst, header.vlan, None)
             delivered: set[tuple[ConnectPoint, int]] = set()
-            dropped: set[str] = set()
             misses: set[str] = set()
-            queue = deque([_InjectItem(ingress.device, ingress.port, header, 1)])
+            queue = deque([(ingress.device, ingress.port, 1)])
             while queue:
-                item = queue.popleft()
-                if item.hops > ttl:
-                    raise LoopDetectedError(
-                        f"packet exceeded TTL {ttl} at device {item.device}"
-                    )
-                rule = tables[item.device].match(item.in_port, item.header)
+                device, in_port, hops = queue.popleft()
+                if hops > ttl:
+                    raise LoopDetectedError(f"packet exceeded TTL {ttl} at device {device}")
+                rule = tables[device].lookup((in_port, *header_fields))
                 if rule is None:
-                    misses.add(item.device)
+                    misses.add(device)
                     continue
                 rule.packet_count += 1
-                if rule.treatment.drop:
-                    dropped.add(item.device)
-                    continue
-                out_header = rule.treatment.apply_vlan(item.header)
                 for port in rule.treatment.outputs:
-                    cp = ConnectPoint(item.device, port)
-                    link = self._topo.link_from(cp)
-                    if link is None:
-                        delivered.add((cp, item.hops))
+                    nxt = far_end.get((device, port))
+                    if nxt is None:
+                        delivered.add((ConnectPoint(device, port), hops))
                     else:
-                        queue.append(
-                            _InjectItem(
-                                link.dst.device, link.dst.port, out_header, item.hops + 1
-                            )
-                        )
-            return DeliveryReport(
-                frozenset(delivered), frozenset(dropped), frozenset(misses)
-            )
+                        queue.append((*nxt, hops + 1))
+            return DeliveryReport(frozenset(delivered), frozenset(), frozenset(misses))

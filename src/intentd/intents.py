@@ -9,7 +9,7 @@ import enum
 import itertools
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Union
+from typing import Any, Callable, Mapping, Union
 
 from .errors import (
     CompileError,
@@ -27,6 +27,7 @@ from .fabric import (
     FlowRule,
     TrafficSelector,
     TrafficTreatment,
+    TreatmentCache,
 )
 from .topology import ConnectPoint, Path, Topology, host_mac, shortest_path
 
@@ -188,6 +189,8 @@ class Intent:
     failure: str | None = None
     # set once a host-to-host parent has been expanded, even to no legs
     child_ids: tuple[int, ...] | None = None
+    # the host-to-host parent that owns this leg
+    parent_id: int | None = None
 
     @property
     def type_name(self) -> str:
@@ -256,30 +259,24 @@ def compile_point_to_point(
     topo: Topology,
     intent: Intent,
     next_rule_id: Callable[[], int],
+    treatments: Mapping[tuple[int, ...], TrafficTreatment],
 ) -> list[FlowRule]:
     """One rule per device along the shortest ingress->egress path."""
     request = intent.request
     assert isinstance(request, PointToPoint)
     path = shortest_path(topo, request.ingress.device, request.egress.device)
-    rules = []
-    for device, in_port, out_port in _chain_rules(path, request.ingress, request.egress):
-        rules.append(
-            FlowRule(
-                rule_id=next_rule_id(),
-                device=device,
-                selector=intent.selector.with_in_port(in_port),
-                treatment=TrafficTreatment(outputs=(out_port,)),
-                owner_intent=intent.id,
-                priority=intent.priority,
-            )
-        )
-    return rules
+    stamp, selector, owner, priority = FlowRule.compiled, intent.selector, intent.id, intent.priority
+    return [
+        stamp(next_rule_id(), device, selector, in_port, treatments[(out_port,)], owner, priority)
+        for device, in_port, out_port in _chain_rules(path, request.ingress, request.egress)
+    ]
 
 
 def compile_single_to_multi(
     topo: Topology,
     intent: Intent,
     next_rule_id: Callable[[], int],
+    treatments: Mapping[tuple[int, ...], TrafficTreatment],
 ) -> list[FlowRule]:
     """A tree over the union of shortest paths to every egress.
 
@@ -305,25 +302,26 @@ def compile_single_to_multi(
                         f"conflicting arrival ports at {link.dst.device}"
                     )
         outputs.setdefault(egress.device, set()).add(egress.port)
-    rules = []
-    for device in sorted(outputs):
-        rules.append(
-            FlowRule(
-                rule_id=next_rule_id(),
-                device=device,
-                selector=intent.selector.with_in_port(in_ports[device]),
-                treatment=TrafficTreatment(outputs=tuple(sorted(outputs[device]))),
-                owner_intent=intent.id,
-                priority=intent.priority,
-            )
+    stamp, selector, owner, priority = FlowRule.compiled, intent.selector, intent.id, intent.priority
+    return [
+        stamp(
+            next_rule_id(),
+            device,
+            selector,
+            in_ports[device],
+            treatments[tuple(sorted(outputs[device]))],
+            owner,
+            priority,
         )
-    return rules
+        for device in sorted(outputs)
+    ]
 
 
 def compile_multi_to_single(
     topo: Topology,
     intent: Intent,
     next_rule_id: Callable[[], int],
+    treatments: Mapping[tuple[int, ...], TrafficTreatment],
 ) -> list[FlowRule]:
     """One rule per (device, arrival port) over the per-ingress paths.
 
@@ -338,19 +336,11 @@ def compile_multi_to_single(
         path = shortest_path(topo, ingress.device, egress.device)
         for device, in_port, out_port in _chain_rules(path, ingress, egress):
             hops.setdefault((device, in_port), out_port)
-    rules = []
-    for (device, in_port), out_port in sorted(hops.items()):
-        rules.append(
-            FlowRule(
-                rule_id=next_rule_id(),
-                device=device,
-                selector=intent.selector.with_in_port(in_port),
-                treatment=TrafficTreatment(outputs=(out_port,)),
-                owner_intent=intent.id,
-                priority=intent.priority,
-            )
-        )
-    return rules
+    stamp, selector, owner, priority = FlowRule.compiled, intent.selector, intent.id, intent.priority
+    return [
+        stamp(next_rule_id(), device, selector, in_port, treatments[(out_port,)], owner, priority)
+        for (device, in_port), out_port in sorted(hops.items())
+    ]
 
 
 class IntentStore:
@@ -441,10 +431,8 @@ class Controller:
         self.topology = topology
         self.fabric = fabric if fabric is not None else Fabric(topology)
         self.store = IntentStore(capacity=capacity)
-        self._rule_ids = itertools.count(1)
-
-    def _next_rule_id(self) -> int:
-        return next(self._rule_ids)
+        self._next_rule_id = itertools.count(1).__next__
+        self._treatments = TreatmentCache()
 
     def submit(
         self,
@@ -486,11 +474,17 @@ class Controller:
     def _compile(self, intent: Intent) -> list[FlowRule]:
         request = intent.request
         if isinstance(request, PointToPoint):
-            return compile_point_to_point(self.topology, intent, self._next_rule_id)
+            return compile_point_to_point(
+                self.topology, intent, self._next_rule_id, self._treatments
+            )
         if isinstance(request, SingleToMultiPoint):
-            return compile_single_to_multi(self.topology, intent, self._next_rule_id)
+            return compile_single_to_multi(
+                self.topology, intent, self._next_rule_id, self._treatments
+            )
         if isinstance(request, MultiToSinglePoint):
-            return compile_multi_to_single(self.topology, intent, self._next_rule_id)
+            return compile_multi_to_single(
+                self.topology, intent, self._next_rule_id, self._treatments
+            )
         raise CompileError(f"no compiler for {type(request).__name__}")
 
     def _drive_host_to_host(self, intent: Intent) -> None:
@@ -527,31 +521,46 @@ class Controller:
                 break
             child_ids.append(child_id)
             child = self.store.get(child_id)
+            child.parent_id = intent.id
             if child.state is not IntentState.INSTALLED:
                 failure = child.failure or "leg failed"
                 break
         intent.child_ids = tuple(child_ids)
         if failure is not None:
-            for child_id in child_ids:
-                if self.store.get(child_id).state is IntentState.INSTALLED:
-                    self.withdraw(child_id)
+            self._remove(intent)
             self.store.transition(intent, IntentState.FAILED, failure=failure)
             return
         self.store.transition(intent, IntentState.INSTALLING)
         self.store.transition(intent, IntentState.INSTALLED)
 
     def withdraw(self, intent_id: int) -> None:
-        """Remove an INSTALLED intent's rules and mark it WITHDRAWN."""
+        """Remove an INSTALLED intent's rules and mark it WITHDRAWN.
+
+        A host-to-host leg belongs to its parent: withdrawing one on its own
+        would leave the parent INSTALLED with one direction, so it is
+        refused, and withdrawing the parent withdraws both legs.
+        """
         intent = self.store.get(intent_id)
+        if intent.parent_id is not None:
+            raise IllegalStateError(
+                f"intent {intent_id} is a leg of host-to-host intent "
+                f"{intent.parent_id}; withdraw {intent.parent_id} instead"
+            )
         if intent.state is not IntentState.INSTALLED:
             raise IllegalStateError(
                 f"intent {intent_id} is {intent.state.value}, not INSTALLED"
             )
-        for child_id in intent.child_ids or ():
-            if self.store.get(child_id).state is IntentState.INSTALLED:
-                self.withdraw(child_id)
-        self.fabric.remove_rules(intent_id)
+        self._remove(intent)
         self.store.transition(intent, IntentState.WITHDRAWN)
+
+    def _remove(self, intent: Intent) -> None:
+        """Withdraw an intent's INSTALLED legs, then drop its own rules."""
+        for child_id in intent.child_ids or ():
+            child = self.store.get(child_id)
+            if child.state is IntentState.INSTALLED:
+                self.fabric.remove_rules(child_id)
+                self.store.transition(child, IntentState.WITHDRAWN)
+        self.fabric.remove_rules(intent.id)
 
     def get(self, intent_id: int) -> Intent:
         return self.store.get(intent_id)

@@ -1,10 +1,14 @@
 """Benchmark harness: configuration, measurement contracts, and reports."""
 import csv
 import json
+import os
 import socket
+import subprocess
+import sys
 
 import pytest
 
+import intentd
 from intentd.bench import (
     BenchmarkConfig,
     BenchRunner,
@@ -380,3 +384,31 @@ class TestConfigFromArgs:
         assert "  P2P/CLI: " in out and "  P2P/REST: " in out
         assert "REST/CLI mean-time ratio: min=" in out
         assert f"wrote {tmp_path}" in out
+
+
+# A sweep in a fresh interpreter, summaries included, then the names of any
+# scipy modules it loaded.
+SWEEP_SCRIPT = """
+import sys
+from intentd.bench import BenchmarkConfig, BenchRunner
+
+config = BenchmarkConfig(
+    intent_types=("P2P",), interfaces=("CLI",), workloads=(2, 4, 6), iterations=2,
+    saturation_iterations=0, capacity=1000, rest_endpoint="127.0.0.1:0", seed=1,
+)
+with BenchRunner(config) as runner:
+    results = runner.run()
+assert len(results.summaries) == 3 and results.fits
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_sweep_runs_without_scipy():
+    src = os.path.dirname(os.path.dirname(intentd.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", SWEEP_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

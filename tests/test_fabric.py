@@ -19,7 +19,7 @@ from intentd.fabric import (
     PacketHeader,
     TrafficSelector,
     TrafficTreatment,
-    VlanAction,
+    TreatmentCache,
 )
 from intentd.topology import ConnectPoint, device_id
 from conftest import D1, D2, D3
@@ -37,7 +37,7 @@ def rule(
         rule_id=next(_ids) if rule_id is None else rule_id,
         device=device,
         selector=TrafficSelector(in_port=in_port, **sel),
-        treatment=TrafficTreatment(outputs=tuple(out_ports), drop=not out_ports),
+        treatment=TrafficTreatment(outputs=tuple(out_ports)),
         owner_intent=owner,
         priority=priority,
     )
@@ -71,32 +71,26 @@ class TestSelector:
 
 
 class TestTreatment:
-    def test_drop_mirrors_empty_outputs(self):
-        assert TrafficTreatment(drop=True).outputs == ()
-        assert not TrafficTreatment(outputs=(1,)).drop
-        with pytest.raises(ValueError):
-            TrafficTreatment(outputs=(1,), drop=True)
-        with pytest.raises(ValueError):
+    def test_empty_outputs_rejected(self):
+        with pytest.raises(ValueError, match="at least one output"):
             TrafficTreatment(outputs=())
+        with pytest.raises(ValueError, match="at least one output"):
+            TreatmentCache()[()]
 
-    def test_vlan_actions(self):
-        t = TrafficTreatment(outputs=(1,), vlan_action=VlanAction("push", 40))
-        hdr = t.apply_vlan(DEFAULT_HEADER)
-        assert hdr.vlan == 40
-        popped = TrafficTreatment(outputs=(1,), vlan_action=VlanAction("pop")).apply_vlan(hdr)
-        assert popped.vlan is None
+    def test_outputs_become_a_tuple(self):
+        assert TrafficTreatment(outputs=[2, 3]).outputs == (2, 3)
 
-    def test_pop_on_untagged_is_a_no_op(self):
-        t = TrafficTreatment(outputs=(1,), vlan_action=VlanAction("pop"))
-        assert t.apply_vlan(DEFAULT_HEADER).vlan is None
+    def test_equal_port_tuples_share_one_treatment(self):
+        cache = TreatmentCache()
+        shared = cache[(2, 3)]
+        assert cache[(2, 3)] is shared
+        assert shared == TrafficTreatment(outputs=(2, 3))
+        assert cache[(3,)] is not shared
+        assert len(cache) == 2
 
-    def test_vlan_action_validation(self):
-        with pytest.raises(ValueError):
-            VlanAction("pop", 5)
-        with pytest.raises(ValueError):
-            VlanAction("push")
-        with pytest.raises(ValueError):
-            VlanAction("rewrite", 5)
+    def test_treatments_are_immutable(self):
+        with pytest.raises(AttributeError):
+            TreatmentCache()[(2,)].outputs = (3,)
 
 
 class TestInstall:
@@ -185,6 +179,34 @@ class TestInstall:
         assert fabric.rule_count() == 0
         assert fabric.rules_for(D1) == fabric.rules_for(D2) == []
 
+    @pytest.mark.parametrize(
+        "fabric_args, batch, error, message",
+        [
+            ({}, lambda: [rule(device_id(77), 1, 2)], UnknownDeviceError,
+             f"unknown device {device_id(77)}"),
+            ({}, lambda: [FlowRule(40, D1, TrafficSelector(), TrafficTreatment((2,)), 1)],
+             ValueError, "rule 40 has an empty selector"),
+            ({}, lambda: [rule(D1, 1, (2, 9), rule_id=41)], ValueError,
+             f"rule 41 outputs to missing port {D1}/9"),
+            ({}, lambda: [rule(D1, 1, 2, priority=7), rule(D1, 1, 2, priority=7)],
+             DuplicateRuleError, f"duplicate rule on {D1} (priority 7)"),
+            ({}, lambda: [rule(D1, 1, 2, rule_id=42), rule(D2, 1, 2, rule_id=42)],
+             DuplicateRuleError, "rule id 42 is already in use"),
+            ({"device_rule_cap": 1}, lambda: [rule(D1, 1, 2), rule(D1, 2, 1)],
+             RuleCapacityError, f"device {D1} rule capacity exceeded"),
+            ({"total_rule_cap": 1}, lambda: [rule(D1, 1, 2), rule(D2, 1, 2)],
+             RuleCapacityError, "fabric rule capacity exceeded"),
+        ],
+        ids=["unknown-device", "empty-selector", "missing-port", "duplicate-key",
+             "duplicate-id", "device-cap", "total-cap"],
+    )
+    def test_rejections_of_external_rules(self, chain3, fabric_args, batch, error, message):
+        fabric = Fabric(chain3, **fabric_args)
+        with pytest.raises(error) as caught:
+            fabric.install_rules(batch())
+        assert str(caught.value) == message
+        assert fabric.rule_count() == 0
+
     def test_per_device_capacity(self, chain3):
         fabric = Fabric(chain3, device_rule_cap=2)
         fabric.install_rules([rule(D1, 1, 2, owner=1), rule(D1, 2, 1, owner=2)])
@@ -221,15 +243,13 @@ class TestRemove:
 class TestMatchOrder:
     def test_higher_priority_wins(self, chain3):
         fabric = Fabric(chain3)
-        fabric.install_rules(
-            [
-                rule(D1, 1, 2, priority=100, owner=1),
-                rule(D1, 1, (), priority=200, owner=2),  # drop everything
-            ]
-        )
+        low = rule(D1, 1, 2, priority=100, owner=1)
+        high = rule(D1, 1, 1, priority=200, owner=2)  # hairpins back out the edge
+        fabric.install_rules([low, high])
         report = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
-        assert report.delivered == frozenset()
-        assert report.dropped_at == frozenset({D1})
+        assert report.delivered == frozenset({(ConnectPoint(D1, 1), 1)})
+        assert report.misses == frozenset()
+        assert (high.packet_count, low.packet_count) == (1, 0)
 
     def test_equal_priority_lower_rule_id_wins(self, chain3):
         fabric = Fabric(chain3)
@@ -250,10 +270,10 @@ class TestMatchOrder:
         fabric = Fabric(chain3)
         exact = rule(D1, 1, 2, priority=100, owner=1, rule_id=10, eth_dst=DEFAULT_HEADER.eth_dst)
         fabric.install_rules([exact])  # its field combination is probed first
-        wildcard = rule(D1, 1, (), priority=200, owner=2, rule_id=20)
+        wildcard = rule(D1, 1, 1, priority=200, owner=2, rule_id=20)
         fabric.install_rules([wildcard])
         report = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
-        assert report.dropped_at == frozenset({D1})
+        assert report.delivered == frozenset({(ConnectPoint(D1, 1), 1)})
         assert (wildcard.packet_count, exact.packet_count) == (1, 0)
 
     def test_equal_priority_lower_id_wins_across_field_combinations(self, chain3):
@@ -341,12 +361,12 @@ class TestTableOrder:
             fabric.remove_rules(2)
         assert match_order(table) == []
         low = numbered(31, 100, owner=4)
-        drop = rule(D1, 1, (), priority=200, owner=3, rule_id=30)
-        fabric.install_rules([low, drop])
+        hairpin = rule(D1, 1, 1, priority=200, owner=3, rule_id=30)
+        fabric.install_rules([low, hairpin])
         assert match_order(table) == [(200, 30), (100, 31)]
         report = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
-        assert report.dropped_at == frozenset({D1})
-        assert (drop.packet_count, low.packet_count) == (1, 0)
+        assert report.delivered == frozenset({(ConnectPoint(D1, 1), 1)})
+        assert (hairpin.packet_count, low.packet_count) == (1, 0)
 
 
 _MACS = ("aa:aa:aa:aa:aa:01", "aa:aa:aa:aa:aa:02")
@@ -493,25 +513,14 @@ class TestInject:
         with pytest.raises(LoopDetectedError):
             fabric.inject(ConnectPoint(D2, 2), DEFAULT_HEADER)
 
-    def test_vlan_rewrite_travels_with_packet(self, chain3):
+    def test_vlan_tag_is_matched_at_every_hop(self, chain3):
         fabric = Fabric(chain3)
-        tagged = FlowRule(
-            rule_id=next(_ids),
-            device=D1,
-            selector=TrafficSelector(in_port=1),
-            treatment=TrafficTreatment(outputs=(2,), vlan_action=VlanAction("push", 33)),
-            owner_intent=1,
-        )
-        only_33 = FlowRule(
-            rule_id=next(_ids),
-            device=D2,
-            selector=TrafficSelector(in_port=1, vlan=33),
-            treatment=TrafficTreatment(outputs=(2,)),
-            owner_intent=1,
-        )
-        fabric.install_rules([tagged, only_33, rule(D3, 1, 2)])
-        report = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
+        fabric.install_rules([rule(d, 1, 2, vlan=33) for d in (D1, D2, D3)])
+        tagged = PacketHeader(DEFAULT_HEADER.eth_src, DEFAULT_HEADER.eth_dst, 33)
+        report = fabric.inject(ConnectPoint(D1, 1), tagged)
         assert report.delivered == frozenset({(ConnectPoint(D3, 2), 3)})
+        untagged = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
+        assert (untagged.delivered, untagged.misses) == (frozenset(), frozenset({D1}))
 
     def test_clear(self, chain3):
         fabric = Fabric(chain3)

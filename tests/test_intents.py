@@ -14,7 +14,14 @@ from intentd.errors import (
     UnknownHostError,
     UnknownIntentError,
 )
-from intentd.fabric import DEFAULT_PRIORITY, Fabric, PacketHeader, TrafficSelector
+from intentd.fabric import (
+    DEFAULT_PRIORITY,
+    Fabric,
+    FlowRule,
+    PacketHeader,
+    TrafficSelector,
+    TrafficTreatment,
+)
 from intentd.intents import (
     TRANSITIONS,
     Controller,
@@ -162,6 +169,58 @@ class TestCompilation:
             assert r.priority == 250
 
 
+def public_twin(r: FlowRule) -> FlowRule:
+    """The rule the public constructor builds from a compiled rule's fields."""
+    sel = r.selector
+    return FlowRule(
+        r.rule_id,
+        r.device,
+        TrafficSelector(in_port=sel.in_port, eth_src=sel.eth_src, eth_dst=sel.eth_dst, vlan=sel.vlan),
+        TrafficTreatment(outputs=r.treatment.outputs),
+        r.owner_intent,
+        r.priority,
+    )
+
+
+class TestStampPath:
+    SELECTOR = TrafficSelector(eth_src="AA:AA:AA:AA:AA:01", eth_dst="aa:aa:aa:aa:aa:02", vlan=0)
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            PointToPoint(CP(D1, 1), CP(D3, 2)),
+            SingleToMultiPoint(CP(D1, 1), frozenset({CP(D2, 2), CP(D3, 2)})),
+            MultiToSinglePoint(frozenset({CP(D1, 1), CP(D2, 2)}), CP(D3, 2)),
+        ],
+        ids=["P2P", "S2M", "M2S"],
+    )
+    def test_compiled_rules_equal_public_ones(self, star, request_):
+        ctrl = Controller(star)
+        iid = ctrl.submit(request_, priority=150, selector=self.SELECTOR)
+        rules = ctrl.fabric.rules_of(iid)
+        assert rules and ctrl.get(iid).state is IntentState.INSTALLED
+        for r in rules:
+            twin = public_twin(r)
+            assert r == twin  # selector and treatment included
+            assert (r.match_key, r.key) == (twin.match_key, twin.key)
+            assert r.selector.eth_src == "aa:aa:aa:aa:aa:01"
+            assert r.packet_count == 0
+
+    def test_compiled_rules_share_treatments(self, controller):
+        first = controller.fabric.rules_of(controller.submit(p2p_h1_h2()))
+        second = controller.fabric.rules_of(controller.submit(p2p_h1_h2()))
+        for a, b in zip(first, second):
+            assert a.treatment is b.treatment
+            assert a.selector is not b.selector
+
+    def test_stamp_keeps_range_checks(self):
+        treatment = TrafficTreatment(outputs=(2,))
+        with pytest.raises(ValueError, match="64-bit"):
+            FlowRule.compiled(2**64, D1, TrafficSelector(), 1, treatment, 1, 100)
+        with pytest.raises(ValueError, match="in_port"):
+            FlowRule.compiled(1, D1, TrafficSelector(), 0, treatment, 1, 100)
+
+
 class TestLifecycleAccounting:
     def test_submit_then_withdraw_returns_to_zero(self, controller):
         iid = controller.submit(p2p_h1_h2())
@@ -285,6 +344,21 @@ class TestHostToHost:
             controller.get(c).state is IntentState.WITHDRAWN
             for c in controller.get(iid).child_ids
         )
+
+    def test_leg_cannot_be_withdrawn_on_its_own(self, controller):
+        iid = controller.submit(HostToHost("h1", "h2"))
+        for leg in controller.get(iid).child_ids:
+            assert controller.get(leg).parent_id == iid
+            with pytest.raises(IllegalStateError, match=f"host-to-host intent {iid}"):
+                controller.withdraw(leg)
+            assert controller.get(leg).state is IntentState.INSTALLED
+        assert controller.get(iid).state is IntentState.INSTALLED
+        assert controller.rule_count(iid) == controller.installed_rules() == 6
+        assert controller.live_intents() == 3
+        controller.withdraw(iid)
+        assert controller.installed_rules() == controller.live_intents() == 0
+        with pytest.raises(IllegalStateError, match=f"host-to-host intent {iid}"):
+            controller.withdraw(controller.get(iid).child_ids[0])
 
     def test_second_leg_failure_rolls_back_first(self, chain3):
         ctrl = Controller(chain3)

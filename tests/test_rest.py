@@ -204,6 +204,18 @@ class TestWithdrawRoute:
         _, client = rest
         assert client.delete_intent(777)[0] == 404
 
+    def test_delete_of_a_leg_conflicts_and_names_the_parent(self, rest):
+        ctrl, client = rest
+        _, pair = client.post_intent({"type": "H2H", "one": "h1", "two": "h2"})
+        leg = pair["children"][0]
+        status, body = client.delete_intent(leg)
+        assert status == 409
+        assert f"host-to-host intent {pair['id']}" in body["error"]
+        assert client.get_intent(pair["id"])[1]["rule_count"] == 6
+        assert ctrl.installed_rules() == 6
+        assert client.delete_intent(pair["id"]) == (204, None)
+        assert ctrl.installed_rules() == 0
+
 
 class TestBatchRoute:
     def test_counts_reported(self, rest):

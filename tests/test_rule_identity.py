@@ -24,21 +24,21 @@ PINNED_DIGEST = "6f5f16af9d3151a249a95289b4b5b3459a609cbdaa215b5a343bbc81a957a4f
 
 
 def canonical_rules(controller: Controller, intent_id: int) -> list[tuple]:
-    """(device, rule_id, selector, treatment, priority, owner) per rule."""
+    """(device, rule_id, selector, treatment, priority, owner) per rule.
+
+    A treatment is its output ports only; the digest was taken when it also
+    had a drop flag and a vlan action, so the row keeps their values for an
+    output rule, False and None, as constants.
+    """
     out = []
     for r in sorted(controller.fabric.rules_of(intent_id), key=lambda r: r.rule_id):
-        sel, treat = r.selector, r.treatment
-        vlan_action = treat.vlan_action
+        sel = r.selector
         out.append(
             (
                 r.device,
                 r.rule_id,
                 (sel.in_port, sel.eth_src, sel.eth_dst, sel.vlan),
-                (
-                    treat.outputs,
-                    treat.drop,
-                    None if vlan_action is None else (vlan_action.kind, vlan_action.vlan),
-                ),
+                (r.treatment.outputs, False, None),
                 r.priority,
                 r.owner_intent,
             )
