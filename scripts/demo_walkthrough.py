@@ -93,7 +93,7 @@ def main() -> None:
     controller.withdraw(2)
     print_intents(controller)
     print(
-        f"  live intents={controller.store.live_count()} "
+        f"  live intents={controller.live_intents()} "
         f"fabric rules={controller.fabric.rule_count()}"
     )
 

@@ -5,7 +5,6 @@ synthetic packet through the tables to check what a rule set actually does.
 """
 from __future__ import annotations
 
-import threading
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -228,7 +227,7 @@ class FlowTable:
     the key a matching rule of that combination must have; it only grows
     until `clear()`.  A lookup probes each combination once and takes the best
     head across them.  Rule ids must be unique; the fabric checks that.
-    Use under the fabric lock.
+    Owned by one fabric and not thread-safe on its own.
     """
 
     def __init__(self, device: str) -> None:
@@ -319,8 +318,8 @@ class FlowTable:
 class Fabric:
     """All flow tables of one simulated network.
 
-    Mutations serialize on one writer lock; packet walks take the same lock
-    so they see a consistent snapshot and bump counters atomically.
+    Owned by one controller and not thread-safe on its own: the controller's
+    lock guards it.  Walk packets only while nothing else uses the fabric.
     """
 
     def __init__(
@@ -348,97 +347,86 @@ class Fabric:
         self._keys: set[tuple] = set()
         self._ids: set[int] = set()
         self._by_owner: dict[int, list[FlowRule]] = {}
-        self._total = 0
-        self._lock = threading.RLock()
 
     @property
     def topology(self) -> Topology:
         return self._topo
 
     def rule_count(self) -> int:
-        with self._lock:
-            return self._total
+        return len(self._ids)
 
     def rules_for(self, device: str) -> list[FlowRule]:
-        with self._lock:
-            if device not in self._tables:
-                raise UnknownDeviceError(f"unknown device {device}")
-            return list(self._tables[device])
+        if device not in self._tables:
+            raise UnknownDeviceError(f"unknown device {device}")
+        return list(self._tables[device])
 
     def rules_of(self, owner_intent: int) -> list[FlowRule]:
         """The rules an intent owns, in install order; empty for unknown owners."""
-        with self._lock:
-            return list(self._by_owner.get(owner_intent, ()))
+        return list(self._by_owner.get(owner_intent, ()))
 
     def install_rules(self, rules: Sequence[FlowRule]) -> int:
         """Install a batch atomically; on any error nothing is installed."""
-        with self._lock:
-            port_sets = self._ports
-            keys, ids = self._keys, self._ids
-            batch_keys: set[tuple] = set()
-            batch_ids: set[int] = set()
-            for rule in rules:
-                device = rule.device
-                ports = port_sets.get(device)
-                if ports is None:
-                    raise UnknownDeviceError(f"unknown device {device}")
-                if rule.match_key == _MATCH_ANY:
-                    raise ValueError(f"rule {rule.rule_id} has an empty selector")
-                outputs = rule.treatment.outputs
-                if not ports.issuperset(outputs):
-                    port = next(p for p in outputs if p not in ports)
-                    raise ValueError(
-                        f"rule {rule.rule_id} outputs to missing port {device}/{port}"
-                    )
-                key = rule.key
-                if key in keys or key in batch_keys:
-                    raise DuplicateRuleError(
-                        f"duplicate rule on {device} (priority {rule.priority})"
-                    )
-                batch_keys.add(key)
-                rule_id = rule.rule_id
-                if rule_id in ids or rule_id in batch_ids:
-                    raise DuplicateRuleError(f"rule id {rule_id} is already in use")
-                batch_ids.add(rule_id)
+        port_sets = self._ports
+        keys, ids = self._keys, self._ids
+        batch_keys: set[tuple] = set()
+        batch_ids: set[int] = set()
+        for rule in rules:
+            device = rule.device
+            ports = port_sets.get(device)
+            if ports is None:
+                raise UnknownDeviceError(f"unknown device {device}")
+            if rule.match_key == _MATCH_ANY:
+                raise ValueError(f"rule {rule.rule_id} has an empty selector")
+            outputs = rule.treatment.outputs
+            if not ports.issuperset(outputs):
+                port = next(p for p in outputs if p not in ports)
+                raise ValueError(
+                    f"rule {rule.rule_id} outputs to missing port {device}/{port}"
+                )
+            key = rule.key
+            if key in keys or key in batch_keys:
+                raise DuplicateRuleError(
+                    f"duplicate rule on {device} (priority {rule.priority})"
+                )
+            batch_keys.add(key)
+            rule_id = rule.rule_id
+            if rule_id in ids or rule_id in batch_ids:
+                raise DuplicateRuleError(f"rule id {rule_id} is already in use")
+            batch_ids.add(rule_id)
 
-            tables = self._tables
-            if self._device_rule_cap is not None:
-                per_device = Counter(rule.device for rule in rules)
-                for dev, added in per_device.items():
-                    if len(tables[dev]) + added > self._device_rule_cap:
-                        raise RuleCapacityError(f"device {dev} rule capacity exceeded")
-            if self._total_rule_cap is not None:
-                if self._total + len(rules) > self._total_rule_cap:
-                    raise RuleCapacityError("fabric rule capacity exceeded")
+        tables = self._tables
+        if self._device_rule_cap is not None:
+            per_device = Counter(rule.device for rule in rules)
+            for dev, added in per_device.items():
+                if len(tables[dev]) + added > self._device_rule_cap:
+                    raise RuleCapacityError(f"device {dev} rule capacity exceeded")
+        if self._total_rule_cap is not None:
+            if len(ids) + len(rules) > self._total_rule_cap:
+                raise RuleCapacityError("fabric rule capacity exceeded")
 
-            keys.update(batch_keys)
-            ids.update(batch_ids)
-            by_owner = self._by_owner
-            for rule in rules:
-                tables[rule.device].add(rule)
-                by_owner.setdefault(rule.owner_intent, []).append(rule)
-            self._total += len(rules)
-            return len(rules)
+        keys.update(batch_keys)
+        ids.update(batch_ids)
+        by_owner = self._by_owner
+        for rule in rules:
+            tables[rule.device].add(rule)
+            by_owner.setdefault(rule.owner_intent, []).append(rule)
+        return len(rules)
 
     def remove_rules(self, owner_intent: int) -> int:
         """Remove every rule owned by the intent; unknown owners remove zero."""
-        with self._lock:
-            owned = self._by_owner.pop(owner_intent, [])
-            for rule in owned:
-                self._tables[rule.device].discard(rule)
-                self._keys.discard(rule.key)
-                self._ids.discard(rule.rule_id)
-            self._total -= len(owned)
-            return len(owned)
+        owned = self._by_owner.pop(owner_intent, [])
+        for rule in owned:
+            self._tables[rule.device].discard(rule)
+            self._keys.discard(rule.key)
+            self._ids.discard(rule.rule_id)
+        return len(owned)
 
     def clear(self) -> None:
-        with self._lock:
-            for table in self._tables.values():
-                table.clear()
-            self._keys.clear()
-            self._ids.clear()
-            self._by_owner.clear()
-            self._total = 0
+        for table in self._tables.values():
+            table.clear()
+        self._keys.clear()
+        self._ids.clear()
+        self._by_owner.clear()
 
     def inject(self, ingress: ConnectPoint, header: PacketHeader) -> DeliveryReport:
         """Walk a packet from an ingress point through the tables.
@@ -450,29 +438,28 @@ class Fabric:
         header.  hop counts include the ingress device, and a branch running
         past len(devices) + 1 hops raises LoopDetectedError.
         """
-        with self._lock:
-            if not self._topo.has_connect_point(ingress):
-                raise UnknownDeviceError(f"unknown connect point {ingress}")
-            ttl = len(self._tables) + 1
-            tables = self._tables
-            far_end = self._far_end
-            header_fields = (header.eth_src, header.eth_dst, header.vlan, None)
-            delivered: set[tuple[ConnectPoint, int]] = set()
-            misses: set[str] = set()
-            queue = deque([(ingress.device, ingress.port, 1)])
-            while queue:
-                device, in_port, hops = queue.popleft()
-                if hops > ttl:
-                    raise LoopDetectedError(f"packet exceeded TTL {ttl} at device {device}")
-                rule = tables[device].lookup((in_port, *header_fields))
-                if rule is None:
-                    misses.add(device)
-                    continue
-                rule.packet_count += 1
-                for port in rule.treatment.outputs:
-                    nxt = far_end.get((device, port))
-                    if nxt is None:
-                        delivered.add((ConnectPoint(device, port), hops))
-                    else:
-                        queue.append((*nxt, hops + 1))
-            return DeliveryReport(frozenset(delivered), frozenset(), frozenset(misses))
+        if not self._topo.has_connect_point(ingress):
+            raise UnknownDeviceError(f"unknown connect point {ingress}")
+        ttl = len(self._tables) + 1
+        tables = self._tables
+        far_end = self._far_end
+        header_fields = (header.eth_src, header.eth_dst, header.vlan, None)
+        delivered: set[tuple[ConnectPoint, int]] = set()
+        misses: set[str] = set()
+        queue = deque([(ingress.device, ingress.port, 1)])
+        while queue:
+            device, in_port, hops = queue.popleft()
+            if hops > ttl:
+                raise LoopDetectedError(f"packet exceeded TTL {ttl} at device {device}")
+            rule = tables[device].lookup((in_port, *header_fields))
+            if rule is None:
+                misses.add(device)
+                continue
+            rule.packet_count += 1
+            for port in rule.treatment.outputs:
+                nxt = far_end.get((device, port))
+                if nxt is None:
+                    delivered.add((ConnectPoint(device, port), hops))
+                else:
+                    queue.append((*nxt, hops + 1))
+        return DeliveryReport(frozenset(delivered), frozenset(), frozenset(misses))

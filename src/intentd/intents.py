@@ -344,8 +344,9 @@ def compile_multi_to_single(
 
 
 class IntentStore:
-    """Id allocation plus the id -> intent map; guarded by one lock.
+    """Id allocation plus the id -> intent map, owned by one controller.
 
+    Not thread-safe on its own: the controller's lock guards every call.
     Withdrawn and failed intents stay queryable but stop counting as live,
     so only admitted-and-not-terminal intents hold capacity.
     """
@@ -357,7 +358,6 @@ class IntentStore:
         self._intents: dict[int, Intent] = {}
         self._next_id = itertools.count(1)
         self._live = 0
-        self._lock = threading.RLock()
 
     def admit(
         self,
@@ -365,57 +365,56 @@ class IntentStore:
         selector: TrafficSelector,
         priority: int,
     ) -> Intent:
-        with self._lock:
-            if self.capacity is not None and self._live >= self.capacity:
-                raise StoreCapacityError(
-                    f"store is full ({self.capacity} live intents)"
-                )
-            intent = Intent(
-                id=next(self._next_id),
-                request=request,
-                selector=selector,
-                priority=priority,
-                state=IntentState.SUBMITTED,
+        if self.capacity is not None and self._live >= self.capacity:
+            raise StoreCapacityError(
+                f"store is full ({self.capacity} live intents)"
             )
-            self._intents[intent.id] = intent
-            self._live += 1
-            return intent
+        intent = Intent(
+            id=next(self._next_id),
+            request=request,
+            selector=selector,
+            priority=priority,
+            state=IntentState.SUBMITTED,
+        )
+        self._intents[intent.id] = intent
+        self._live += 1
+        return intent
 
     def transition(self, intent: Intent, state: IntentState, failure: str | None = None) -> None:
-        with self._lock:
-            if state not in TRANSITIONS[intent.state]:
-                raise IllegalStateError(
-                    f"intent {intent.id}: cannot move {intent.state.value} -> {state.value}"
-                )
-            intent.state = state
-            if failure is not None:
-                intent.failure = failure
-            if state in (IntentState.FAILED, IntentState.WITHDRAWN):
-                self._live -= 1
+        if state not in TRANSITIONS[intent.state]:
+            raise IllegalStateError(
+                f"intent {intent.id}: cannot move {intent.state.value} -> {state.value}"
+            )
+        intent.state = state
+        if failure is not None:
+            intent.failure = failure
+        if state in (IntentState.FAILED, IntentState.WITHDRAWN):
+            self._live -= 1
 
     def get(self, intent_id: int) -> Intent:
-        with self._lock:
-            try:
-                return self._intents[intent_id]
-            except KeyError:
-                raise UnknownIntentError(f"unknown intent {intent_id}") from None
+        try:
+            return self._intents[intent_id]
+        except KeyError:
+            raise UnknownIntentError(f"unknown intent {intent_id}") from None
 
     def list(self) -> list[Intent]:
-        with self._lock:
-            return list(self._intents.values())
+        return list(self._intents.values())
 
     def live_count(self) -> int:
-        with self._lock:
-            return self._live
+        return self._live
 
     def clear(self) -> None:
-        with self._lock:
-            self._intents.clear()
-            self._live = 0
+        self._intents.clear()
+        self._live = 0
 
 
 class Controller:
-    """Topology + fabric + store behind one submit/withdraw/query surface."""
+    """Topology + fabric + store behind one submit/withdraw/query surface.
+
+    Every public method holds the controller's one lock, so each submit,
+    withdraw and reset is atomic and every read sees store and fabric agree.
+    It is reentrant because a host-to-host submit submits its legs.
+    """
 
     def __init__(
         self,
@@ -433,6 +432,7 @@ class Controller:
         self.store = IntentStore(capacity=capacity)
         self._next_rule_id = itertools.count(1).__next__
         self._treatments = TreatmentCache()
+        self._lock = threading.RLock()
 
     def submit(
         self,
@@ -449,27 +449,28 @@ class Controller:
         if selector is None:
             selector = TrafficSelector()
         validate_request(self.topology, request)
-        intent = self.store.admit(request, selector, priority)
-        self.store.transition(intent, IntentState.COMPILING)
+        with self._lock:
+            intent = self.store.admit(request, selector, priority)
+            self.store.transition(intent, IntentState.COMPILING)
 
-        if isinstance(request, HostToHost):
-            self._drive_host_to_host(intent)
-            return intent.id
+            if isinstance(request, HostToHost):
+                self._drive_host_to_host(intent)
+                return intent.id
 
-        try:
-            rules = self._compile(intent)
-        except (NoPathError, CompileError) as exc:
-            self.store.transition(intent, IntentState.FAILED, failure=str(exc))
-            return intent.id
+            try:
+                rules = self._compile(intent)
+            except (NoPathError, CompileError) as exc:
+                self.store.transition(intent, IntentState.FAILED, failure=str(exc))
+                return intent.id
 
-        self.store.transition(intent, IntentState.INSTALLING)
-        try:
-            self.fabric.install_rules(rules)
-        except (FabricError, ValueError) as exc:
-            self.store.transition(intent, IntentState.FAILED, failure=str(exc))
+            self.store.transition(intent, IntentState.INSTALLING)
+            try:
+                self.fabric.install_rules(rules)
+            except (FabricError, ValueError) as exc:
+                self.store.transition(intent, IntentState.FAILED, failure=str(exc))
+                return intent.id
+            self.store.transition(intent, IntentState.INSTALLED)
             return intent.id
-        self.store.transition(intent, IntentState.INSTALLED)
-        return intent.id
 
     def _compile(self, intent: Intent) -> list[FlowRule]:
         request = intent.request
@@ -540,18 +541,19 @@ class Controller:
         would leave the parent INSTALLED with one direction, so it is
         refused, and withdrawing the parent withdraws both legs.
         """
-        intent = self.store.get(intent_id)
-        if intent.parent_id is not None:
-            raise IllegalStateError(
-                f"intent {intent_id} is a leg of host-to-host intent "
-                f"{intent.parent_id}; withdraw {intent.parent_id} instead"
-            )
-        if intent.state is not IntentState.INSTALLED:
-            raise IllegalStateError(
-                f"intent {intent_id} is {intent.state.value}, not INSTALLED"
-            )
-        self._remove(intent)
-        self.store.transition(intent, IntentState.WITHDRAWN)
+        with self._lock:
+            intent = self.store.get(intent_id)
+            if intent.parent_id is not None:
+                raise IllegalStateError(
+                    f"intent {intent_id} is a leg of host-to-host intent "
+                    f"{intent.parent_id}; withdraw {intent.parent_id} instead"
+                )
+            if intent.state is not IntentState.INSTALLED:
+                raise IllegalStateError(
+                    f"intent {intent_id} is {intent.state.value}, not INSTALLED"
+                )
+            self._remove(intent)
+            self.store.transition(intent, IntentState.WITHDRAWN)
 
     def _remove(self, intent: Intent) -> None:
         """Withdraw an intent's INSTALLED legs, then drop its own rules."""
@@ -563,44 +565,52 @@ class Controller:
         self.fabric.remove_rules(intent.id)
 
     def get(self, intent_id: int) -> Intent:
-        return self.store.get(intent_id)
+        with self._lock:
+            return self.store.get(intent_id)
 
     def list(self) -> list[Intent]:
-        return self.store.list()
+        with self._lock:
+            return self.store.list()
 
     def rule_count(self, intent_id: int) -> int:
         """Rules the fabric holds for an INSTALLED intent, else 0; an H2H
         parent counts its legs'."""
-        intent = self.store.get(intent_id)
-        if intent.child_ids:
-            return sum(self.rule_count(child) for child in intent.child_ids)
-        if intent.state is not IntentState.INSTALLED:
-            return 0
-        return len(self.fabric.rules_of(intent_id))
+        with self._lock:
+            intent = self.store.get(intent_id)
+            if intent.child_ids:
+                return sum(self.rule_count(child) for child in intent.child_ids)
+            if intent.state is not IntentState.INSTALLED:
+                return 0
+            return len(self.fabric.rules_of(intent_id))
 
     def live_intents(self) -> int:
-        return self.store.live_count()
+        with self._lock:
+            return self.store.live_count()
 
     def installed_rules(self) -> int:
-        return self.fabric.rule_count()
+        with self._lock:
+            return self.fabric.rule_count()
 
     def reset(self) -> None:
         """Drop every rule and purge the store; counters drop to zero."""
-        self.fabric.clear()
-        self.store.clear()
+        with self._lock:
+            self.fabric.clear()
+            self.store.clear()
 
 
 def intent_document(controller: Controller, intent: Intent) -> dict:
-    """JSON-ready view of one intent, shared by the REST and CLI surfaces."""
-    doc: dict = {
-        "id": str(intent.id),
-        "type": intent.type_name,
-        "state": intent.state.value,
-        "rule_count": controller.rule_count(intent.id),
-    }
-    doc |= request_document(intent.request)  # keeps "type" in second place
-    if intent.child_ids is not None:
-        doc["children"] = [str(c) for c in intent.child_ids]
-    if intent.failure is not None:
-        doc["failure"] = intent.failure
-    return doc
+    """JSON-ready view of one intent for the REST and CLI surfaces, read under
+    the controller's lock so that its state and rule count agree."""
+    with controller._lock:
+        doc: dict = {
+            "id": str(intent.id),
+            "type": intent.type_name,
+            "state": intent.state.value,
+            "rule_count": controller.rule_count(intent.id),
+        }
+        doc |= request_document(intent.request)  # keeps "type" in second place
+        if intent.child_ids is not None:
+            doc["children"] = [str(c) for c in intent.child_ids]
+        if intent.failure is not None:
+            doc["failure"] = intent.failure
+        return doc

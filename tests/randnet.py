@@ -151,3 +151,22 @@ def assert_intent_realized(controller, intent_id, header: PacketHeader = DEFAULT
             assert hops == expected, (
                 f"{ingress} -> {cp}: {hops} hops, shortest is {expected}"
             )
+
+
+def assert_store_matches_fabric(controller) -> None:
+    """The invariants that tie a quiescent controller's store to its fabric.
+
+    Every live intent is INSTALLED; the fabric's rule total is the summed
+    rule count of the INSTALLED leaves (a host-to-host parent owns no rules,
+    its legs do); and the rule owners are exactly those leaves.
+    """
+    installed = [i for i in controller.list() if i.state is IntentState.INSTALLED]
+    leaves = {i.id for i in installed if not i.child_ids}
+    assert controller.live_intents() == len(installed)
+    assert controller.installed_rules() == sum(controller.rule_count(i) for i in leaves)
+    owners = {
+        rule.owner_intent
+        for device in controller.topology.device_ids
+        for rule in controller.fabric.rules_for(device)
+    }
+    assert owners == leaves, f"rule owners {sorted(owners)}, INSTALLED leaves {sorted(leaves)}"

@@ -1,5 +1,6 @@
-"""Command-line verbs, exit codes, and the timed submission loop."""
+"""Command-line verbs, exit codes, the timed submission loop, and the demo script."""
 import json
+import os
 import subprocess
 import sys
 
@@ -253,3 +254,18 @@ class TestInterfaceEquivalence:
 
         assert shapes(rest_ctrl) == shapes(cli_ctrl)
         assert [i.request for i in rest_ctrl.list()] == [i.request for i in cli_ctrl.list()]
+
+
+class TestDemoScript:
+    def test_walkthrough_ends_with_nothing_left(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.pathsep.join(filter(None, (os.path.join(root, "src"), os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "scripts", "demo_walkthrough.py")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1].strip() == "live intents=0 fabric rules=0"

@@ -1,10 +1,12 @@
 """Intent lifecycle, compilation, the request codec, and end-to-end delivery."""
 import json
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, multiple, rule
 
 from intentd.errors import (
     IllegalStateError,
@@ -36,7 +38,13 @@ from intentd.intents import (
 )
 from intentd.topology import ConnectPoint, default_topology, device_id, host_mac
 from conftest import D1, D2, D3, HUB
-from randnet import assert_intent_realized, random_intent, random_topology
+from randnet import (
+    DEFAULT_HEADER,
+    assert_intent_realized,
+    assert_store_matches_fabric,
+    random_intent,
+    random_topology,
+)
 
 CP = ConnectPoint
 
@@ -299,6 +307,91 @@ class TestLifecycleAccounting:
         assert controller.installed_rules() == 6
 
 
+class HeldFabric(Fabric):
+    """A fabric whose first call of one method blocks until `release` is set."""
+
+    def __init__(self, topology, held: str) -> None:
+        super().__init__(topology)
+        self.held = held
+        self.calls = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def _hold(self, name: str) -> None:
+        if name == self.held:
+            self.calls += 1
+            if self.calls == 1:
+                self.entered.set()
+                self.release.wait(5)
+
+    def install_rules(self, rules):
+        self._hold("install_rules")
+        return super().install_rules(rules)
+
+    def remove_rules(self, owner_intent):
+        self._hold("remove_rules")
+        return super().remove_rules(owner_intent)
+
+
+# across the whole default chain: one rule on each of its five devices
+CHAIN_P2P = PointToPoint(CP(device_id(1), 3), CP(device_id(5), 3))
+
+
+class TestConcurrentLifecycle:
+    """Each submit, withdraw and reset is atomic against the others."""
+
+    def test_reset_waits_for_a_submit_in_flight(self):
+        topo = default_topology()
+        fabric = HeldFabric(topo, "install_rules")
+        ctrl = Controller(topo, fabric=fabric)
+        submitter = threading.Thread(target=ctrl.submit, args=(CHAIN_P2P,), daemon=True)
+        resetter = threading.Thread(target=ctrl.reset, daemon=True)
+        try:
+            submitter.start()
+            assert fabric.entered.wait(0.5)
+            resetter.start()
+            resetter.join(0.5)
+            reset_waited = resetter.is_alive()
+        finally:
+            fabric.release.set()
+        submitter.join(0.5)
+        resetter.join(0.5)
+        assert not submitter.is_alive() and not resetter.is_alive()
+        assert (reset_waited, ctrl.installed_rules(), ctrl.live_intents()) == (True, 0, 0)
+
+    def test_second_withdraw_of_one_intent_is_refused(self):
+        topo = default_topology()
+        fabric = HeldFabric(topo, "remove_rules")
+        ctrl = Controller(topo, fabric=fabric)
+        iid = ctrl.submit(CHAIN_P2P)
+        errors = []
+
+        def withdraw():
+            try:
+                ctrl.withdraw(iid)
+            except IllegalStateError as exc:
+                errors.append(exc)
+
+        first = threading.Thread(target=withdraw, daemon=True)
+        second = threading.Thread(target=withdraw, daemon=True)
+        try:
+            first.start()
+            assert fabric.entered.wait(0.5)
+            second.start()
+            second.join(0.5)
+        finally:
+            fabric.release.set()
+        first.join(0.5)
+        second.join(0.5)
+        assert not first.is_alive() and not second.is_alive()
+        assert fabric.calls == 1
+        assert len(errors) == 1
+        with pytest.raises(IllegalStateError, match=f"intent {iid} is WITHDRAWN, not INSTALLED"):
+            raise errors[0]
+        assert ctrl.get(iid).state is IntentState.WITHDRAWN
+        assert ctrl.installed_rules() == ctrl.live_intents() == 0
+
+
 class TestHostToHost:
     def test_expands_to_two_installed_legs(self, controller):
         iid = controller.submit(HostToHost("h1", "h2"))
@@ -509,3 +602,101 @@ class TestRandomInstances:
                 ctrl.withdraw(iid)
         assert ctrl.installed_rules() == 0
         assert ctrl.live_intents() == 0
+
+
+class LifecycleModel(RuleBasedStateMachine):
+    """Submit, withdraw and reset on the default chain, checked against a model.
+
+    Every drawn request is valid and routable there, so each submit installs.
+    Each gets a vlan of its own, which keeps the intents' traffic apart, so
+    every INSTALLED leaf's walk can be checked while the others are in place.
+    """
+
+    ids = Bundle("ids")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ctrl = Controller(CHAIN)
+        self.model: dict[int, IntentState] = {}
+        self.parent_of: dict[int, int] = {}
+        self.vlan = 0
+
+    def _submit(self, request) -> int:
+        self.vlan += 1
+        iid = self.ctrl.submit(request, selector=TrafficSelector(vlan=self.vlan))
+        self.model[iid] = IntentState.INSTALLED
+        return iid
+
+    @rule(
+        target=ids,
+        kind=st.sampled_from((PointToPoint, SingleToMultiPoint, MultiToSinglePoint)),
+        points=st.lists(_point, min_size=2, max_size=4, unique=True),
+    )
+    def submit_points(self, kind, points):
+        first, *rest = points
+        if kind is PointToPoint:
+            return self._submit(PointToPoint(first, rest[0]))
+        if kind is SingleToMultiPoint:
+            return self._submit(SingleToMultiPoint(first, frozenset(rest)))
+        return self._submit(MultiToSinglePoint(frozenset(rest), first))
+
+    @rule(target=ids, hosts=st.permutations(sorted(CHAIN.hosts)))
+    def submit_host_pair(self, hosts):
+        iid = self._submit(HostToHost(*hosts))
+        legs = self.ctrl.get(iid).child_ids
+        assert len(legs) == 2
+        for leg in legs:
+            self.model[leg] = IntentState.INSTALLED
+            self.parent_of[leg] = iid
+        return multiple(iid, *legs)
+
+    @rule(iid=st.one_of(ids, st.integers(10_000, 10_002)))
+    def withdraw(self, iid):
+        """Any id: ours, a leg, one from before a reset, or one never issued."""
+        state = self.model.get(iid)
+        if state is None:
+            with pytest.raises(UnknownIntentError):
+                self.ctrl.withdraw(iid)
+        elif iid in self.parent_of:
+            parent = self.parent_of[iid]
+            with pytest.raises(IllegalStateError, match=f"host-to-host intent {parent};"):
+                self.ctrl.withdraw(iid)
+        elif state is not IntentState.INSTALLED:
+            with pytest.raises(IllegalStateError, match="is WITHDRAWN, not INSTALLED"):
+                self.ctrl.withdraw(iid)
+        else:
+            self.ctrl.withdraw(iid)
+            self.model[iid] = IntentState.WITHDRAWN
+            for leg, parent in self.parent_of.items():
+                if parent == iid:
+                    self.model[leg] = IntentState.WITHDRAWN
+
+    @rule()
+    def reset(self):
+        self.ctrl.reset()
+        self.model.clear()
+        self.parent_of.clear()
+
+    @invariant()
+    def store_matches_model(self):
+        assert {i.id: i.state for i in self.ctrl.list()} == self.model
+
+    @invariant()
+    def store_matches_fabric(self):
+        assert_store_matches_fabric(self.ctrl)
+
+    @invariant()
+    def installed_leaves_deliver(self):
+        for intent in self.ctrl.list():
+            if intent.state is IntentState.INSTALLED and not intent.child_ids:
+                sel = intent.selector
+                header = PacketHeader(
+                    sel.eth_src or DEFAULT_HEADER.eth_src,
+                    sel.eth_dst or DEFAULT_HEADER.eth_dst,
+                    sel.vlan,
+                )
+                assert_intent_realized(self.ctrl, intent.id, header)
+
+
+TestLifecycleModel = LifecycleModel.TestCase
+TestLifecycleModel.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)

@@ -1,5 +1,8 @@
-"""HTTP surface: routing, status codes, and schema strictness."""
+"""HTTP surface: routing, status codes, schema strictness and concurrent clients."""
+import random
 import socket
+import sys
+import threading
 
 import pytest
 
@@ -12,8 +15,9 @@ from intentd.rest import (
     RequestSchemaError,
     parse_intent_document,
 )
-from intentd.topology import Topology
+from intentd.topology import Topology, default_topology
 from conftest import D1, D2, D3
+from randnet import assert_store_matches_fabric
 
 
 def p2p_doc(**extra):
@@ -272,3 +276,94 @@ class TestServerLifecycle:
         _, client = rest
         for _ in range(5):
             assert client.health()[0] == 200
+
+
+class TestConcurrentClients:
+    """Eight clients, each on its own connection, against one server."""
+
+    THREADS = 8
+    REQUESTS = 40
+
+    @staticmethod
+    def post_doc(kind: str, rng: random.Random, points: list[str]) -> dict:
+        a, b, c = rng.sample(points, 3)
+        one, two = rng.sample(("h1", "h2"), 2)
+        return {
+            "P2P": {"ingress": a, "egress": b},
+            "S2M": {"ingress": a, "egresses": [b, c]},
+            "M2S": {"ingresses": [a, b], "egress": c},
+            "H2H": {"one": one, "two": two},
+        }[kind] | {"type": kind}
+
+    def client_loop(self, index: int, client: RestClient, start: threading.Barrier, problems: list) -> None:
+        """POST all four types, GET and DELETE this client's own intents, and
+        DELETE legs of its host pairs, which must always conflict."""
+        rng = random.Random(index)
+        points = [str(cp) for cp in default_topology().edge_points()]
+        expected: dict[str, tuple[str, int]] = {}  # own id -> (state, rule_count)
+        live: list[str] = []
+        legs: list[str] = []
+        start.wait()
+        for k in range(self.REQUESTS):
+            r = rng.random()
+            if r < 0.2 and live:
+                iid = live.pop(rng.randrange(len(live)))
+                reply = client.delete_intent(iid)
+                expected[iid] = ("WITHDRAWN", 0)
+                want = (204, None)
+            elif r < 0.3 and legs:
+                reply = client.delete_intent(rng.choice(legs))[0]
+                want = 409
+            elif r < 0.5 and expected:
+                iid = rng.choice(sorted(expected))
+                status, body = client.get_intent(iid)
+                reply = (status, body["state"], body["rule_count"])
+                want = (200, *expected[iid])
+            else:
+                doc = self.post_doc(("P2P", "S2M", "M2S", "H2H")[k % 4], rng, points)
+                status, body = client.post_intent(doc)
+                reply = (status, body["type"], body["state"])
+                want = (201, doc["type"], "INSTALLED")
+                if reply == want:
+                    expected[body["id"]] = ("INSTALLED", body["rule_count"])
+                    live.append(body["id"])
+                    legs.extend(body.get("children", ()))
+            if reply != want:
+                problems.append(f"client {index} request {k}: got {reply}, expected {want}")
+
+    def test_store_and_fabric_stay_in_step(self):
+        ctrl = Controller(default_topology())
+        server = RestServer(ctrl, "127.0.0.1", 0).start()
+        clients = [RestClient(server.host, server.port) for _ in range(self.THREADS)]
+        start = threading.Barrier(self.THREADS, timeout=10)
+        problems: list[str] = []
+
+        def run(index: int) -> None:
+            try:
+                self.client_loop(index, clients[index], start, problems)
+            except Exception as exc:  # a thread's failure must reach the assertion below
+                problems.append(f"client {index}: {exc!r}")
+
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for client in clients:  # connect before the race, not inside it
+                assert client.health()[0] == 200
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert problems == []
+            assert_store_matches_fabric(ctrl)
+            assert clients[0].health() == (
+                200,
+                {"intents_live": ctrl.live_intents(), "rules_installed": ctrl.installed_rules()},
+            )
+            assert ctrl.live_intents() > 0
+        finally:
+            sys.setswitchinterval(interval)
+            for client in clients:
+                client.close()
+            server.stop()
