@@ -29,7 +29,7 @@ from .intents import (
 )
 from .rest import RestClient, RestServer
 from .stats import LinearFit, SummaryStats, fit_linear, summarize
-from .topology import Topology, load_topology, serialize_topology
+from .topology import Topology
 
 INTENT_TYPES = ("P2P", "S2M", "M2S")
 INTERFACES = ("CLI", "REST")
@@ -51,12 +51,9 @@ class BenchmarkConfig:
     iterations: int = 10
     saturation_iterations: int = 10
     capacity: int = 500_000
-    rest_endpoint: str = "127.0.0.1:8181"
     topology: str | None = None
     seed: int = 0
     output_dir: str = "bench-out"
-    reset_mode: str = "purge"
-    plot_scale: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intent_types", tuple(self.intent_types))
@@ -80,13 +77,6 @@ class BenchmarkConfig:
             raise ValueError("saturation_iterations must be >= 0")
         if self.capacity < 0:
             raise ValueError("capacity must be >= 0")
-        if self.reset_mode not in ("purge", "restart"):
-            raise ValueError(f"unknown reset mode {self.reset_mode!r}")
-        if self.plot_scale is not None and self.plot_scale < 1:
-            raise ValueError("plot_scale must be >= 1")
-        host, sep, port = self.rest_endpoint.partition(":")
-        if not sep or not host or not port.isdigit():
-            raise ValueError(f"rest_endpoint must be HOST:PORT, got {self.rest_endpoint!r}")
 
 
 @dataclass(frozen=True)
@@ -98,10 +88,6 @@ class BenchmarkSample:
     elapsed_ms: float
     installed: int
     failed: int
-
-    @property
-    def degraded(self) -> bool:
-        return self.failed > 0
 
 
 @dataclass(frozen=True)
@@ -179,13 +165,16 @@ def _pick_request(topo: Topology, intent_type: str, rng: random.Random) -> Inten
 
 
 class BenchRunner:
-    """Owns the controllers (and REST server) for one benchmark run."""
+    """Owns the controllers, and the REST server, for one benchmark run.
 
-    def __init__(self, config: BenchmarkConfig, *, auto_start_rest: bool = True) -> None:
+    The server starts on the first REST sample, on an ephemeral loopback
+    port, over the same controller the CLI samples use.
+    """
+
+    def __init__(self, config: BenchmarkConfig) -> None:
         self.config = config
         self.topology = load_cli_topology(config.topology)
         self._controller = Controller(self.topology)
-        self._auto_start_rest = auto_start_rest
         self._server: RestServer | None = None
         self._client: RestClient | None = None
 
@@ -207,34 +196,18 @@ class BenchRunner:
 
     def _ensure_rest(self) -> RestClient:
         if self._client is None:
-            host, _, port = self.config.rest_endpoint.partition(":")
-            if self._auto_start_rest and self._server is None:
-                self._server = RestServer(self._controller, host, int(port)).start()
-                host, port = self._server.host, self._server.port
-            self._client = RestClient(host, int(port))
+            self._server = RestServer(self._controller, "127.0.0.1", 0).start()
+            self._client = RestClient(self._server.host, self._server.port)
         return self._client
-
-    def _reset(self) -> None:
-        """Empty the store and fabric; 'restart' swaps in a new controller.
-
-        A restart also reloads the topology, so the new controller starts
-        with no memoised paths; 'purge' keeps them warm."""
-        if self.config.reset_mode == "restart":
-            self.topology = load_topology(serialize_topology(self.topology))
-            self._controller = Controller(self.topology)
-            if self._server is not None:
-                self._server.controller = self._controller
-        else:
-            self._controller.reset()
 
     @property
     def controller(self) -> Controller:
         return self._controller
 
-    def rest_endpoint_in_use(self) -> str:
-        if self._server is not None:
-            return self._server.endpoint
-        return self.config.rest_endpoint
+    @property
+    def server(self) -> RestServer | None:
+        """The REST server, once a REST sample has started it."""
+        return self._server
 
     # -- measurement --------------------------------------------------------
 
@@ -250,7 +223,7 @@ class BenchRunner:
         request = _pick_request(
             self.topology, intent_type, _cell_rng(self.config.seed, intent_type)
         )
-        self._reset()
+        self._controller.reset()
         # uniform heap state per iteration; collection debt from the previous
         # iteration must not land inside this one's timed window
         gc.collect()
@@ -276,7 +249,7 @@ class BenchRunner:
         status, _ = client.health()
         if status != 200:
             raise UnreachableEndpointError(
-                f"health check against {self.rest_endpoint_in_use()} returned {status}"
+                f"health check against {self._server.endpoint} returned {status}"
             )
         body = json.dumps(request_document(request)).encode("utf-8")
         installed = 0
@@ -386,7 +359,7 @@ class BenchRunner:
                             ].mean_ms,
                         )
                     )
-        self._reset()
+        self._controller.reset()
         return results
 
     def run(self, verbose: bool = False) -> BenchResults:
@@ -401,7 +374,6 @@ class BenchRunner:
                     print(f"{intent_type} saturation: mean max_intents={mean_max:.1f}")
         results.metadata = {
             "config": asdict(self.config),
-            "rest_endpoint_in_use": self.rest_endpoint_in_use(),
             "clock": "perf_counter_ns",
             "cli_timing": "in-process add loop, submissions only",
             "rest_timing": "client-side end-to-end over one persistent connection",
@@ -446,19 +418,15 @@ def emit_report(results: BenchResults, config: BenchmarkConfig) -> list[str]:
         ),
     )
 
-    summary_header = "intent_type,interface,workload,n,mean_ms,stddev_ms,ci95_ms,cov"
-    if config.plot_scale is not None:
-        summary_header += ",ci_plot_scale"
-
-    def summary_rows():
-        for (intent_type, interface, workload), s in results.summaries.items():
-            row = [intent_type, interface, workload, s.n, s.mean_ms, s.stddev_ms,
-                   s.ci95_ms, s.cov]
-            if config.plot_scale is not None:
-                row.append(s.ci95_ms * config.plot_scale)
-            yield row
-
-    emit("summary.csv", summary_header, summary_rows())
+    emit(
+        "summary.csv",
+        "intent_type,interface,workload,n,mean_ms,stddev_ms,ci95_ms,cov",
+        (
+            (intent_type, interface, workload, s.n, s.mean_ms, s.stddev_ms,
+             s.ci95_ms, s.cov)
+            for (intent_type, interface, workload), s in results.summaries.items()
+        ),
+    )
 
     emit(
         "ratio.csv",
@@ -517,17 +485,8 @@ def _parse_list(text: str, cast=str) -> tuple:
 
 
 def config_from_args(args) -> BenchmarkConfig:
-    """Merge profile defaults, an optional JSON config file, and CLI flags."""
+    """The profile's defaults, overridden by the CLI flags."""
     values: dict = dict(PROFILES[args.profile])
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
-            raise ValueError("bench config file must hold a JSON object")
-        unknown = set(file_values) - set(BenchmarkConfig.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown bench config keys: {sorted(unknown)}")
-        values.update(file_values)
     if args.types:
         values["intent_types"] = _parse_list(args.types)
     if args.interfaces:
@@ -540,16 +499,10 @@ def config_from_args(args) -> BenchmarkConfig:
         values["saturation_iterations"] = args.saturation
     if args.capacity is not None:
         values["capacity"] = args.capacity
-    if args.rest_endpoint:
-        values["rest_endpoint"] = args.rest_endpoint
     if args.seed is not None:
         values["seed"] = args.seed
     if args.out:
         values["output_dir"] = args.out
-    if args.plot_scale is not None:
-        values["plot_scale"] = args.plot_scale
-    if args.reset_mode:
-        values["reset_mode"] = args.reset_mode
     if args.topology:
         values["topology"] = args.topology
     return BenchmarkConfig(**values)

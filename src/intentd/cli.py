@@ -174,13 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="saturation runs per type (0 skips the phase)")
     bench.add_argument("--capacity", type=_positive_int,
                        help="store capacity for the saturation phase")
-    bench.add_argument("--rest-endpoint", metavar="HOST:PORT")
     bench.add_argument("--seed", type=int)
     bench.add_argument("--out", metavar="DIR", help="report directory")
-    bench.add_argument("--plot-scale", type=_positive_int, metavar="N",
-                       help="emit ci95 scaled by N for plotting")
-    bench.add_argument("--config", metavar="FILE", help="JSON config; flags override")
-    bench.add_argument("--reset-mode", choices=("purge", "restart"))
     return parser
 
 
@@ -236,7 +231,7 @@ def _run_bench(args: argparse.Namespace) -> int:
 
     try:
         config = bench.config_from_args(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     runner = bench.BenchRunner(config)

@@ -34,10 +34,6 @@ class DuplicateRuleError(FabricError):
     rule id, already exists."""
 
 
-class RuleCapacityError(FabricError):
-    """Installing the batch would exceed a configured rule capacity."""
-
-
 class LoopDetectedError(FabricError):
     """A packet walk exceeded the TTL bound; the rule set forwards in a cycle."""
 
@@ -73,4 +69,4 @@ class RequestSchemaError(IntentdError, ValueError):
 
 
 class UnreachableEndpointError(IntentdError):
-    """The benchmark could not reach the configured REST endpoint."""
+    """A REST client could not reach its server, or the server was not healthy."""

@@ -5,17 +5,12 @@ synthetic packet through the tables to check what a rule set actually does.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import (
-    DuplicateRuleError,
-    LoopDetectedError,
-    RuleCapacityError,
-    UnknownDeviceError,
-)
+from .errors import DuplicateRuleError, LoopDetectedError, UnknownDeviceError
 from .topology import MAC_RE, ConnectPoint, Topology
 
 DEFAULT_PRIORITY = 100
@@ -322,16 +317,8 @@ class Fabric:
     lock guards it.  Walk packets only while nothing else uses the fabric.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        *,
-        device_rule_cap: int | None = None,
-        total_rule_cap: int | None = None,
-    ) -> None:
+    def __init__(self, topology: Topology) -> None:
         self._topo = topology
-        self._device_rule_cap = device_rule_cap
-        self._total_rule_cap = total_rule_cap
         self._tables: dict[str, FlowTable] = {
             dev: FlowTable(dev) for dev in topology.device_ids
         }
@@ -394,19 +381,9 @@ class Fabric:
                 raise DuplicateRuleError(f"rule id {rule_id} is already in use")
             batch_ids.add(rule_id)
 
-        tables = self._tables
-        if self._device_rule_cap is not None:
-            per_device = Counter(rule.device for rule in rules)
-            for dev, added in per_device.items():
-                if len(tables[dev]) + added > self._device_rule_cap:
-                    raise RuleCapacityError(f"device {dev} rule capacity exceeded")
-        if self._total_rule_cap is not None:
-            if len(ids) + len(rules) > self._total_rule_cap:
-                raise RuleCapacityError("fabric rule capacity exceeded")
-
         keys.update(batch_keys)
         ids.update(batch_ids)
-        by_owner = self._by_owner
+        tables, by_owner = self._tables, self._by_owner
         for rule in rules:
             tables[rule.device].add(rule)
             by_owner.setdefault(rule.owner_intent, []).append(rule)

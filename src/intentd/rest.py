@@ -74,17 +74,29 @@ class _ApiHandler(BaseHTTPRequestHandler):
             raise RequestSchemaError(
                 f"Content-Length must be a non-negative decimal, got {declared!r}"
             )
-        length = int(declared)
-        if length > MAX_BODY_BYTES:
+        # int() refuses more than 4300 digits, so a long figure is refused unread
+        if len(declared) > 20 or int(declared) > MAX_BODY_BYTES:
             self.close_connection = True
             raise BodyTooLargeError(
-                f"body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}"
+                f"body of {declared} bytes exceeds the limit of {MAX_BODY_BYTES}"
             )
+        length = int(declared)
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            # the decoder recurses once per level of nesting
             raise RequestSchemaError(f"body is not valid JSON: {exc}") from None
+
+    def _intent_id(self) -> int | None:
+        """The id in a /intents/<id> path; None, after a 404, if it is not one."""
+        raw = self.path[len("/intents/") :]
+        # ASCII digits only, as str.isdigit also takes other scripts' digits;
+        # no id reaches 21 digits, and int() refuses more than 4300
+        if raw.isascii() and raw.isdigit() and len(raw) <= 20:
+            return int(raw)
+        self._error(404, f"unknown intent {raw}")
+        return None
 
     def do_POST(self) -> None:
         if self.path == "/intents":
@@ -163,12 +175,11 @@ class _ApiHandler(BaseHTTPRequestHandler):
             docs = [intent_document(controller, i) for i in controller.list()]
             self._reply(200, docs)
         elif self.path.startswith("/intents/"):
-            raw = self.path[len("/intents/") :]
-            if not raw.isdigit():
-                self._error(404, f"unknown intent {raw}")
+            intent_id = self._intent_id()
+            if intent_id is None:
                 return
             try:
-                intent = controller.get(int(raw))
+                intent = controller.get(intent_id)
             except UnknownIntentError as exc:
                 self._error(404, str(exc))
                 return
@@ -181,12 +192,11 @@ class _ApiHandler(BaseHTTPRequestHandler):
         if not self.path.startswith("/intents/"):
             self._error(404, f"no such route: DELETE {self.path}")
             return
-        raw = self.path[len("/intents/") :]
-        if not raw.isdigit():
-            self._error(404, f"unknown intent {raw}")
+        intent_id = self._intent_id()
+        if intent_id is None:
             return
         try:
-            controller.withdraw(int(raw))
+            controller.withdraw(intent_id)
         except UnknownIntentError as exc:
             self._error(404, str(exc))
             return

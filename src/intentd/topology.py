@@ -44,12 +44,11 @@ class ConnectPoint:
     @classmethod
     def parse(cls, text: str) -> "ConnectPoint":
         device, sep, port = text.rpartition("/")
-        if not sep or not DEVICE_ID_RE.match(device):
+        # ASCII digits only: int() also takes signs, spaces, underscores and
+        # other scripts' digits, which would parse to a different string
+        if not (sep and DEVICE_ID_RE.match(device) and port.isascii() and port.isdigit()):
             raise ValueError(f"not a connect point: {text!r}")
-        try:
-            port_no = int(port)
-        except ValueError:
-            raise ValueError(f"not a connect point: {text!r}") from None
+        port_no = int(port)
         if port_no < 1:
             raise ValueError(f"port must be >= 1 in connect point {text!r}")
         return cls(device, port_no)

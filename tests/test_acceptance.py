@@ -63,7 +63,6 @@ def desk_sweep():
         iterations=10,
         saturation_iterations=0,
         capacity=10_000,
-        rest_endpoint="127.0.0.1:0",
         seed=2026,
     )
     started = time.monotonic()

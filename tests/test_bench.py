@@ -2,7 +2,6 @@
 import csv
 import json
 import os
-import socket
 import subprocess
 import sys
 
@@ -20,7 +19,6 @@ from intentd.bench import (
     emit_report,
 )
 from intentd.cli import build_parser
-from intentd.errors import UnreachableEndpointError
 from intentd.topology import default_topology
 
 
@@ -32,17 +30,10 @@ def tiny_config(**overrides):
         iterations=2,
         saturation_iterations=0,
         capacity=1000,
-        rest_endpoint="127.0.0.1:0",
         seed=1,
     )
     base.update(overrides)
     return BenchmarkConfig(**base)
-
-
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
 
 
 class TestConfigValidation:
@@ -64,10 +55,6 @@ class TestConfigValidation:
             {"workloads": (10, 5)},
             {"iterations": 1},
             {"saturation_iterations": -1},
-            {"reset_mode": "reboot"},
-            {"rest_endpoint": "localhost"},
-            {"rest_endpoint": ":8181"},
-            {"plot_scale": 0},
         ],
     )
     def test_rejected(self, overrides):
@@ -105,7 +92,6 @@ class TestRunWorkload:
         assert sample.failed == 0
         assert sample.iteration == 3
         assert sample.elapsed_ms > 0
-        assert not sample.degraded
 
     def test_iterations_start_from_empty_state(self):
         with BenchRunner(tiny_config()) as runner:
@@ -114,31 +100,26 @@ class TestRunWorkload:
             # reset ran before the second iteration, so nothing accumulated
             assert runner.controller.live_intents() == 4
 
-    def test_restart_reset_swaps_controller(self):
-        with BenchRunner(tiny_config(reset_mode="restart")) as runner:
-            before = runner.controller
-            runner.run_workload("P2P", "CLI", 2)
-            assert runner.controller is not before
-            # the reloaded topology is equal but carries no memoised paths
-            assert runner.controller.topology == before.topology
-            assert runner.controller.topology is not before.topology
-
     def test_rest_sample_contract(self):
-        config = tiny_config(interfaces=("REST",))
-        with BenchRunner(config) as runner:
+        with BenchRunner(tiny_config(interfaces=("REST",))) as runner:
+            assert runner.server is None  # started by the first REST sample
             sample = runner.run_workload("P2P", "REST", 5)
             assert sample.installed == 5
             assert sample.failed == 0
-            # the ephemeral port actually serving is reported, not ":0"
-            assert runner.rest_endpoint_in_use() != config.rest_endpoint
+            assert runner.server.host == "127.0.0.1"
+            assert runner.server.port != 0
+            # the server answers for the runner's own controller
+            assert runner.server.controller is runner.controller
+            assert runner.controller.live_intents() == 5
+            runner.run_workload("P2P", "REST", 3)
+            assert runner.controller.live_intents() == 3
 
-    def test_unreachable_endpoint_raises(self):
-        config = tiny_config(
-            interfaces=("REST",), rest_endpoint=f"127.0.0.1:{free_port()}"
-        )
-        with BenchRunner(config, auto_start_rest=False) as runner:
-            with pytest.raises(UnreachableEndpointError):
-                runner.run_workload("P2P", "REST", 2)
+    def test_two_runners_sample_rest_side_by_side(self):
+        config = tiny_config(interfaces=("REST",))
+        with BenchRunner(config) as first, BenchRunner(config) as second:
+            assert first.run_workload("P2P", "REST", 2).installed == 2
+            assert second.run_workload("P2P", "REST", 2).installed == 2
+            assert first.server.port != second.server.port
 
 
 class TestSweep:
@@ -235,6 +216,7 @@ class TestReport:
         )
         with BenchRunner(config) as runner:
             results = runner.run()
+            self.server_address = (runner.server.host, runner.server.port)
         return config, results, emit_report(results, config)
 
     def read(self, path):
@@ -273,14 +255,6 @@ class TestReport:
             "mean_ms", "stddev_ms", "ci95_ms", "cov",
         ]
 
-    def test_summary_plot_scale_column(self, tmp_path):
-        config, results, _ = self.run_tiny(tmp_path, plot_scale=10)
-        rows = self.read(f"{config.output_dir}/summary.csv")
-        assert rows[0][-1] == "ci_plot_scale"
-        ci_col = rows[0].index("ci95_ms")
-        for row in rows[1:]:
-            assert float(row[-1]) == pytest.approx(10 * float(row[ci_col]))
-
     def test_ratio_and_fit_headers(self, tmp_path):
         config, _, _ = self.run_tiny(tmp_path)
         assert self.read(f"{config.output_dir}/ratio.csv")[0] == [
@@ -303,7 +277,9 @@ class TestReport:
         config, _, _ = self.run_tiny(tmp_path)
         with open(f"{config.output_dir}/metadata.json") as fh:
             meta = json.load(fh)
-        assert meta["rest_endpoint_in_use"] != "127.0.0.1:0"
+        assert meta["config"]["output_dir"] == config.output_dir
+        host, port = self.server_address
+        assert host == "127.0.0.1" and port != 0
 
 
 class TestConfigFromArgs:
@@ -331,8 +307,6 @@ class TestConfigFromArgs:
                 "--iterations", "4",
                 "--saturation", "0",
                 "--seed", "99",
-                "--plot-scale", "50",
-                "--reset-mode", "restart",
             )
         )
         assert config.intent_types == ("P2P", "M2S")
@@ -341,23 +315,6 @@ class TestConfigFromArgs:
         assert config.iterations == 4
         assert config.saturation_iterations == 0
         assert config.seed == 99
-        assert config.plot_scale == 50
-        assert config.reset_mode == "restart"
-
-    def test_config_file_between_profile_and_flags(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"iterations": 7, "seed": 5}))
-        config = config_from_args(
-            self.parse_bench("--config", str(path), "--seed", "6")
-        )
-        assert config.iterations == 7  # file beat the profile
-        assert config.seed == 6  # flag beat the file
-
-    def test_unknown_config_key_rejected(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"warmup": 3}))
-        with pytest.raises(ValueError, match="warmup"):
-            config_from_args(self.parse_bench("--config", str(path)))
 
     def test_bad_workload_list_rejected(self):
         with pytest.raises(ValueError):
@@ -374,7 +331,6 @@ class TestConfigFromArgs:
                 "--workloads", "2,4,6",
                 "--iterations", "2",
                 "--saturation", "0",
-                "--rest-endpoint", "127.0.0.1:0",
                 "--out", str(tmp_path),
             ]
         )
@@ -394,7 +350,7 @@ from intentd.bench import BenchmarkConfig, BenchRunner
 
 config = BenchmarkConfig(
     intent_types=("P2P",), interfaces=("CLI",), workloads=(2, 4, 6), iterations=2,
-    saturation_iterations=0, capacity=1000, rest_endpoint="127.0.0.1:0", seed=1,
+    saturation_iterations=0, capacity=1000, seed=1,
 )
 with BenchRunner(config) as runner:
     results = runner.run()

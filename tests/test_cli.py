@@ -192,8 +192,14 @@ class TestMainEndToEnd:
 
     @pytest.mark.parametrize(
         "argv",
-        [["intents"], ["withdraw", "1"], ["serve", "--output", "json"], ["bench", "--output", "json"]],
-        ids=["intents", "withdraw", "serve-output", "bench-output"],
+        [
+            ["intents"], ["withdraw", "1"], ["serve", "--output", "json"],
+            ["bench", "--output", "json"], ["bench", "--rest-endpoint", "127.0.0.1:0"],
+            ["bench", "--reset-mode", "restart"], ["bench", "--plot-scale", "10"],
+            ["bench", "--config", "bench.json"],
+        ],
+        ids=["intents", "withdraw", "serve-output", "bench-output", "bench-rest-endpoint",
+             "bench-reset-mode", "bench-plot-scale", "bench-config"],
     )
     def test_removed_surfaces_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intentd.errors import (
-    DuplicateRuleError,
-    LoopDetectedError,
-    RuleCapacityError,
-    UnknownDeviceError,
-)
+from intentd.errors import DuplicateRuleError, LoopDetectedError, UnknownDeviceError
 from intentd.fabric import (
     DEFAULT_PRIORITY,
     Fabric,
@@ -180,44 +175,28 @@ class TestInstall:
         assert fabric.rules_for(D1) == fabric.rules_for(D2) == []
 
     @pytest.mark.parametrize(
-        "fabric_args, batch, error, message",
+        "batch, error, message",
         [
-            ({}, lambda: [rule(device_id(77), 1, 2)], UnknownDeviceError,
+            (lambda: [rule(device_id(77), 1, 2)], UnknownDeviceError,
              f"unknown device {device_id(77)}"),
-            ({}, lambda: [FlowRule(40, D1, TrafficSelector(), TrafficTreatment((2,)), 1)],
+            (lambda: [FlowRule(40, D1, TrafficSelector(), TrafficTreatment((2,)), 1)],
              ValueError, "rule 40 has an empty selector"),
-            ({}, lambda: [rule(D1, 1, (2, 9), rule_id=41)], ValueError,
+            (lambda: [rule(D1, 1, (2, 9), rule_id=41)], ValueError,
              f"rule 41 outputs to missing port {D1}/9"),
-            ({}, lambda: [rule(D1, 1, 2, priority=7), rule(D1, 1, 2, priority=7)],
+            (lambda: [rule(D1, 1, 2, priority=7), rule(D1, 1, 2, priority=7)],
              DuplicateRuleError, f"duplicate rule on {D1} (priority 7)"),
-            ({}, lambda: [rule(D1, 1, 2, rule_id=42), rule(D2, 1, 2, rule_id=42)],
+            (lambda: [rule(D1, 1, 2, rule_id=42), rule(D2, 1, 2, rule_id=42)],
              DuplicateRuleError, "rule id 42 is already in use"),
-            ({"device_rule_cap": 1}, lambda: [rule(D1, 1, 2), rule(D1, 2, 1)],
-             RuleCapacityError, f"device {D1} rule capacity exceeded"),
-            ({"total_rule_cap": 1}, lambda: [rule(D1, 1, 2), rule(D2, 1, 2)],
-             RuleCapacityError, "fabric rule capacity exceeded"),
         ],
         ids=["unknown-device", "empty-selector", "missing-port", "duplicate-key",
-             "duplicate-id", "device-cap", "total-cap"],
+             "duplicate-id"],
     )
-    def test_rejections_of_external_rules(self, chain3, fabric_args, batch, error, message):
-        fabric = Fabric(chain3, **fabric_args)
+    def test_rejections_of_external_rules(self, chain3, batch, error, message):
+        fabric = Fabric(chain3)
         with pytest.raises(error) as caught:
             fabric.install_rules(batch())
         assert str(caught.value) == message
         assert fabric.rule_count() == 0
-
-    def test_per_device_capacity(self, chain3):
-        fabric = Fabric(chain3, device_rule_cap=2)
-        fabric.install_rules([rule(D1, 1, 2, owner=1), rule(D1, 2, 1, owner=2)])
-        with pytest.raises(RuleCapacityError):
-            fabric.install_rules([rule(D1, 1, 2, owner=3)])
-
-    def test_total_capacity(self, chain3):
-        fabric = Fabric(chain3, total_rule_cap=1)
-        fabric.install_rules([rule(D1, 1, 2)])
-        with pytest.raises(RuleCapacityError):
-            fabric.install_rules([rule(D2, 1, 2, owner=2)])
 
 
 class TestRemove:

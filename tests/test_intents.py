@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, multiple, rule
 
 from intentd.errors import (
+    FabricError,
     IllegalStateError,
     IntentValidationError,
     RequestSchemaError,
@@ -269,13 +270,23 @@ class TestLifecycleAccounting:
         assert controller.list() == []
 
     def test_rule_counts_of_terminal_intents_are_zero(self, chain3):
-        ctrl = Controller(chain3, fabric=Fabric(chain3, total_rule_cap=4))
-        pair = ctrl.submit(HostToHost("h1", "h2"))  # the second leg exceeds the cap
+        class SecondBatchFails(Fabric):
+            calls = 0
+
+            def install_rules(self, rules):
+                self.calls += 1
+                if self.calls == 2:
+                    raise FabricError("second batch refused")
+                return super().install_rules(rules)
+
+        ctrl = Controller(chain3, fabric=SecondBatchFails(chain3))
+        pair = ctrl.submit(HostToHost("h1", "h2"))  # the second leg fails to install
         first, second = ctrl.get(pair).child_ids
         assert ctrl.get(pair).state is IntentState.FAILED
         assert ctrl.get(first).state is IntentState.WITHDRAWN
         assert ctrl.get(second).state is IntentState.FAILED
         assert [ctrl.rule_count(i) for i in (pair, first, second)] == [0, 0, 0]
+        assert ctrl.installed_rules() == 0  # the first leg's rules were rolled back
 
         ctrl = Controller(chain3)
         pair = ctrl.submit(HostToHost("h1", "h2"))

@@ -123,6 +123,7 @@ class TestSchemaStrictness:
             p2p_doc(selector={"eth_src": "zz"}),
             {"type": "P2P", "ingress": "bogus", "egress": f"{D3}/2"},
             {"type": "S2M", "ingress": f"{D1}/1", "egresses": f"{D3}/2"},
+            {"type": "P2P", "ingress": f"{D1}/+1", "egress": f"{D3}/2"},
         ],
     )
     def test_rejected_with_400(self, rest, doc):
@@ -136,6 +137,16 @@ class TestSchemaStrictness:
             parse_intent_document(p2p_doc(color="blue"))
         with pytest.raises(RequestSchemaError, match="missing"):
             parse_intent_document({"type": "P2P", "ingress": f"{D1}/1"})
+
+
+def exchange(client, request: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; everything read until it closes."""
+    with socket.create_connection((client.host, client.port), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
 
 
 class TestContentLength:
@@ -156,15 +167,46 @@ class TestContentLength:
         head = (
             f"POST /intents HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
         )
-        with socket.create_connection((client.host, client.port), timeout=5) as sock:
-            sock.sendall(head.encode("ascii"))
-            reply = b""
-            while chunk := sock.recv(4096):  # the server closes after answering
-                reply += chunk
+        # the server closes after answering
+        reply = exchange(client, head.encode("ascii"))
         assert reply.startswith(f"HTTP/1.1 {status} ".encode())
         assert b"Connection: close" in reply
         assert ctrl.live_intents() == 0
         assert client.health()[0] == 200
+
+
+def raw_request(method: str, path: bytes, body: bytes = b"") -> bytes:
+    return (
+        method.encode("ascii") + b" " + path + b" HTTP/1.1\r\nHost: x\r\n"
+        b"Connection: close\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+    )
+
+
+class TestMalformedRequests:
+    """Requests that once made the handler raise and drop the connection."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (raw_request("POST", b"/intents", b"[" * 200_000), 400),
+            (raw_request("POST", b"/intents", b'{"type": "\xff\xfe"}'), 400),
+            (raw_request("GET", b"/intents/" + b"1" * 5000), 404),
+            (raw_request("DELETE", b"/intents/" + b"1" * 5000), 404),
+            # the request line is read as Latin-1, whose superscripts are digits
+            (raw_request("GET", b"/intents/\xb9"), 404),
+            (raw_request("DELETE", b"/intents/\xb9"), 404),
+            (b"POST /intents HTTP/1.1\r\nHost: x\r\nContent-Length: "
+             + b"9" * 5000 + b"\r\n\r\n", 413),
+        ],
+        ids=["deep-nesting", "not-utf8", "get-long-id", "delete-long-id",
+             "get-superscript-id", "delete-superscript-id", "long-length"],
+    )
+    def test_answered_with_a_status_line(self, rest, request_bytes, status):
+        _, client = rest
+        assert client.post_intent(p2p_doc())[1]["id"] == "1"
+        reply = exchange(client, request_bytes)
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert client.health() == (200, {"intents_live": 1, "rules_installed": 3})
 
 
 class TestQueryRoutes:

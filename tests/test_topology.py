@@ -35,7 +35,12 @@ class TestConnectPoint:
         assert ConnectPoint.parse(str(cp)) == cp
 
     @pytest.mark.parametrize(
-        "text", ["", "of:1/1", f"{D1}", f"{D1}/", f"{D1}/x", f"{D1}/0", "OF:0000000000000001/1"]
+        "text",
+        [
+            "", "of:1/1", f"{D1}", f"{D1}/", f"{D1}/x", f"{D1}/0", "OF:0000000000000001/1",
+            # int() takes each of these, but none is the string form of its port
+            f"{D1}/1_0", f"{D1}/ 1", f"{D1}/+1", f"{D1}/\u0661",
+        ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
