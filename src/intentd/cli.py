@@ -231,10 +231,10 @@ def _run_bench(args: argparse.Namespace) -> int:
 
     try:
         config = bench.config_from_args(args)
-    except ValueError as exc:
+        runner = bench.BenchRunner(config)  # loads the topology
+    except (ValueError, OSError, IntentdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    runner = bench.BenchRunner(config)
     try:
         results = runner.run(verbose=True)
     finally:

@@ -6,7 +6,7 @@ synthetic packet through the tables to check what a rule set actually does.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
@@ -14,7 +14,6 @@ from .errors import DuplicateRuleError, LoopDetectedError, UnknownDeviceError
 from .topology import MAC_RE, ConnectPoint, Topology
 
 DEFAULT_PRIORITY = 100
-_new = object.__new__
 
 
 def _check_mac(value: str | None, what: str) -> str | None:
@@ -24,11 +23,6 @@ def _check_mac(value: str | None, what: str) -> str | None:
     if not MAC_RE.match(lowered):
         raise ValueError(f"bad {what}: {value!r}")
     return lowered
-
-
-def _check_in_port(port: int) -> None:
-    if port < 1:
-        raise ValueError(f"in_port must be >= 1, got {port}")
 
 
 def _check_vlan(value: int | None) -> int | None:
@@ -53,40 +47,19 @@ class PacketHeader:
 
 @dataclass(frozen=True, slots=True)
 class TrafficSelector:
-    """Match criteria; an unset field matches anything."""
+    """Header match criteria; an unset field matches anything."""
 
-    in_port: int | None = None
     eth_src: str | None = None
     eth_dst: str | None = None
     vlan: int | None = None
 
     def __post_init__(self) -> None:
-        if self.in_port is not None:
-            _check_in_port(self.in_port)
         object.__setattr__(self, "eth_src", _check_mac(self.eth_src, "eth_src"))
         object.__setattr__(self, "eth_dst", _check_mac(self.eth_dst, "eth_dst"))
         _check_vlan(self.vlan)
 
     def is_empty(self) -> bool:
-        return (
-            self.in_port is None
-            and self.eth_src is None
-            and self.eth_dst is None
-            and self.vlan is None
-        )
-
-    def matches(self, in_port: int, header: PacketHeader) -> bool:
-        """True when every set field equals the packet's; the linear
-        reference that `FlowTable.match` is tested against."""
-        if self.in_port is not None and self.in_port != in_port:
-            return False
-        if self.eth_src is not None and self.eth_src != header.eth_src:
-            return False
-        if self.eth_dst is not None and self.eth_dst != header.eth_dst:
-            return False
-        if self.vlan is not None and self.vlan != header.vlan:
-            return False
-        return True
+        return self.eth_src is None and self.eth_dst is None and self.vlan is None
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,77 +88,46 @@ class TreatmentCache(dict):
         return treatment
 
 
-# slot setters that get past the frozen selector's __setattr__
-_set_in_port = TrafficSelector.in_port.__set__
-_set_eth_src = TrafficSelector.eth_src.__set__
-_set_eth_dst = TrafficSelector.eth_dst.__set__
-_set_vlan = TrafficSelector.vlan.__set__
-
-
 @dataclass(slots=True)
 class FlowRule:
+    """One device's rule: packets arriving on `in_port` (None: any port) whose
+    header matches `selector` leave by `treatment`.  Rules compiled from one
+    intent share its selector; only packet_count changes after construction."""
+
     rule_id: int
     device: str
     selector: TrafficSelector
     treatment: TrafficTreatment
     owner_intent: int
     priority: int = DEFAULT_PRIORITY
+    in_port: int | None = None
     packet_count: int = 0
-    # Both keys are computed once; only packet_count ever changes after
-    # construction.  match_key is the selector's (in_port, eth_src, eth_dst,
-    # vlan), None where unset: equal selectors have equal match keys.
-    match_key: tuple = field(init=False, repr=False, compare=False)
-    # duplicate detection key: repeated identical intents own separate rules.
-    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.rule_id < 2**64:
             raise ValueError(f"rule_id out of 64-bit range: {self.rule_id}")
+        if self.in_port is not None and self.in_port < 1:
+            raise ValueError(f"in_port must be >= 1, got {self.in_port}")
         if self.packet_count < 0:
             raise ValueError("packet_count must be non-negative")
+
+    @property
+    def match_key(self) -> tuple:
+        """(in_port, eth_src, eth_dst, vlan), None where unset: rules that
+        match the same packets have equal match keys."""
         sel = self.selector
-        self.match_key = (sel.in_port, sel.eth_src, sel.eth_dst, sel.vlan)
-        self.key = (self.device, self.priority, self.match_key, self.owner_intent)
+        return (self.in_port, sel.eth_src, sel.eth_dst, sel.vlan)
 
-    @classmethod
-    def compiled(
-        cls,
-        rule_id: int,
-        device: str,
-        selector: TrafficSelector,
-        in_port: int,
-        treatment: TrafficTreatment,
-        owner_intent: int,
-        priority: int,
-    ) -> "FlowRule":
-        """The compilers' rule: `selector` with `in_port` set, out `treatment`.
-
-        Equal to the public constructor's rule from the same fields, but
-        nothing it was built from is checked again: the selector was
-        normalised when its request was parsed, the ports come from the
-        topology and the id from the controller's counter.
-        """
-        if not 0 <= rule_id < 2**64:
-            raise ValueError(f"rule_id out of 64-bit range: {rule_id}")
-        if in_port < 1:
-            raise ValueError(f"in_port must be >= 1, got {in_port}")
-        eth_src, eth_dst, vlan = selector.eth_src, selector.eth_dst, selector.vlan
-        sel = _new(TrafficSelector)
-        _set_in_port(sel, in_port)
-        _set_eth_src(sel, eth_src)
-        _set_eth_dst(sel, eth_dst)
-        _set_vlan(sel, vlan)
-        rule = _new(cls)
-        rule.rule_id = rule_id
-        rule.device = device
-        rule.selector = sel
-        rule.treatment = treatment
-        rule.owner_intent = owner_intent
-        rule.priority = priority
-        rule.packet_count = 0
-        match_key = rule.match_key = (in_port, eth_src, eth_dst, vlan)
-        rule.key = (device, priority, match_key, owner_intent)
-        return rule
+    def matches(self, in_port: int, header: PacketHeader) -> bool:
+        """True when every set field equals the packet's; the linear
+        reference that `FlowTable.match` is tested against."""
+        sel = self.selector
+        return (
+            (self.in_port is None or self.in_port == in_port)
+            and (sel.eth_src is None or sel.eth_src == header.eth_src)
+            and (sel.eth_dst is None or sel.eth_dst == header.eth_dst)
+            and (sel.vlan is None or sel.vlan == header.vlan)
+        )
 
 
 @dataclass(frozen=True)
@@ -212,12 +154,13 @@ _MATCH_ANY = (None, None, None, None)
 class FlowTable:
     """Rules of one device, looked up by tuple space search.
 
-    Rules are grouped by `FlowRule.match_key`.  `_index` maps a key to its
-    only rule or, when several share it, to a dict of them kept in match
-    order (descending priority, then rule id), so a key's first rule is its
-    best.  A rule that sorts after the key's last one (one priority and
-    rising ids, which is what the controller produces) is appended; any
-    other add rebuilds that key's dict once.  `_probes` holds one getter per
+    Rules are grouped by their match key, a tuple that the `FlowRule.match_key`
+    property builds on each read.  `_index` maps a key to its only rule or,
+    when several share it, to a dict of them kept in match order (descending
+    priority, then rule id), so a key's first rule is its best.  A rule that
+    sorts after the key's last one (one priority and rising ids, which is
+    what the controller produces) is appended; any other add rebuilds that
+    key's dict once.  `_probes` holds one getter per
     combination of set fields present (at most 16), which turns a packet into
     the key a matching rule of that combination must have; it only grows
     until `clear()`.  A lookup probes each combination once and takes the best
@@ -331,7 +274,6 @@ class Fabric:
             (link.src.device, link.src.port): (link.dst.device, link.dst.port)
             for link in topology.links
         }
-        self._keys: set[tuple] = set()
         self._ids: set[int] = set()
         self._by_owner: dict[int, list[FlowRule]] = {}
 
@@ -353,16 +295,22 @@ class Fabric:
 
     def install_rules(self, rules: Sequence[FlowRule]) -> int:
         """Install a batch atomically; on any error nothing is installed."""
-        port_sets = self._ports
-        keys, ids = self._keys, self._ids
-        batch_keys: set[tuple] = set()
+        port_sets, ids, by_owner = self._ports, self._ids, self._by_owner
+        # a duplicate has the same device, priority, match key and owner, so
+        # only the batch and the live rules of the batch's owners can hold one
+        keys: set[tuple] = {
+            (live.device, live.priority, live.match_key, owner)
+            for owner in {rule.owner_intent for rule in rules}
+            for live in by_owner.get(owner, ())
+        }
         batch_ids: set[int] = set()
         for rule in rules:
             device = rule.device
             ports = port_sets.get(device)
             if ports is None:
                 raise UnknownDeviceError(f"unknown device {device}")
-            if rule.match_key == _MATCH_ANY:
+            match_key = rule.match_key
+            if match_key == _MATCH_ANY:
                 raise ValueError(f"rule {rule.rule_id} has an empty selector")
             outputs = rule.treatment.outputs
             if not ports.issuperset(outputs):
@@ -370,20 +318,19 @@ class Fabric:
                 raise ValueError(
                     f"rule {rule.rule_id} outputs to missing port {device}/{port}"
                 )
-            key = rule.key
-            if key in keys or key in batch_keys:
+            key = (device, rule.priority, match_key, rule.owner_intent)
+            if key in keys:
                 raise DuplicateRuleError(
                     f"duplicate rule on {device} (priority {rule.priority})"
                 )
-            batch_keys.add(key)
+            keys.add(key)
             rule_id = rule.rule_id
             if rule_id in ids or rule_id in batch_ids:
                 raise DuplicateRuleError(f"rule id {rule_id} is already in use")
             batch_ids.add(rule_id)
 
-        keys.update(batch_keys)
         ids.update(batch_ids)
-        tables, by_owner = self._tables, self._by_owner
+        tables = self._tables
         for rule in rules:
             tables[rule.device].add(rule)
             by_owner.setdefault(rule.owner_intent, []).append(rule)
@@ -394,14 +341,12 @@ class Fabric:
         owned = self._by_owner.pop(owner_intent, [])
         for rule in owned:
             self._tables[rule.device].discard(rule)
-            self._keys.discard(rule.key)
             self._ids.discard(rule.rule_id)
         return len(owned)
 
     def clear(self) -> None:
         for table in self._tables.values():
             table.clear()
-        self._keys.clear()
         self._ids.clear()
         self._by_owner.clear()
 

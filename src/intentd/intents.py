@@ -265,9 +265,11 @@ def compile_point_to_point(
     request = intent.request
     assert isinstance(request, PointToPoint)
     path = shortest_path(topo, request.ingress.device, request.egress.device)
-    stamp, selector, owner, priority = FlowRule.compiled, intent.selector, intent.id, intent.priority
+    selector, owner, priority = intent.selector, intent.id, intent.priority
     return [
-        stamp(next_rule_id(), device, selector, in_port, treatments[(out_port,)], owner, priority)
+        FlowRule(
+            next_rule_id(), device, selector, treatments[(out_port,)], owner, priority, in_port
+        )
         for device, in_port, out_port in _chain_rules(path, request.ingress, request.egress)
     ]
 
@@ -302,16 +304,16 @@ def compile_single_to_multi(
                         f"conflicting arrival ports at {link.dst.device}"
                     )
         outputs.setdefault(egress.device, set()).add(egress.port)
-    stamp, selector, owner, priority = FlowRule.compiled, intent.selector, intent.id, intent.priority
+    selector, owner, priority = intent.selector, intent.id, intent.priority
     return [
-        stamp(
+        FlowRule(
             next_rule_id(),
             device,
             selector,
-            in_ports[device],
             treatments[tuple(sorted(outputs[device]))],
             owner,
             priority,
+            in_ports[device],
         )
         for device in sorted(outputs)
     ]
@@ -336,9 +338,11 @@ def compile_multi_to_single(
         path = shortest_path(topo, ingress.device, egress.device)
         for device, in_port, out_port in _chain_rules(path, ingress, egress):
             hops.setdefault((device, in_port), out_port)
-    stamp, selector, owner, priority = FlowRule.compiled, intent.selector, intent.id, intent.priority
+    selector, owner, priority = intent.selector, intent.id, intent.priority
     return [
-        stamp(next_rule_id(), device, selector, in_port, treatments[(out_port,)], owner, priority)
+        FlowRule(
+            next_rule_id(), device, selector, treatments[(out_port,)], owner, priority, in_port
+        )
         for (device, in_port), out_port in sorted(hops.items())
     ]
 

@@ -91,9 +91,10 @@ class _ApiHandler(BaseHTTPRequestHandler):
     def _intent_id(self) -> int | None:
         """The id in a /intents/<id> path; None, after a 404, if it is not one."""
         raw = self.path[len("/intents/") :]
-        # ASCII digits only, as str.isdigit also takes other scripts' digits;
-        # no id reaches 21 digits, and int() refuses more than 4300
-        if raw.isascii() and raw.isdigit() and len(raw) <= 20:
+        # ASCII digits only, as str.isdigit also takes other scripts' digits,
+        # and no leading zero, so each id has one path; no id reaches 21
+        # digits, and int() refuses more than 4300
+        if raw.isascii() and raw.isdigit() and raw[0] != "0" and len(raw) <= 20:
             return int(raw)
         self._error(404, f"unknown intent {raw}")
         return None

@@ -44,14 +44,14 @@ class ConnectPoint:
     @classmethod
     def parse(cls, text: str) -> "ConnectPoint":
         device, sep, port = text.rpartition("/")
-        # ASCII digits only: int() also takes signs, spaces, underscores and
-        # other scripts' digits, which would parse to a different string
+        # ASCII digits only: int() also takes signs, spaces, underscores,
+        # leading zeros and other scripts' digits, which would parse to a
+        # different string
         if not (sep and DEVICE_ID_RE.match(device) and port.isascii() and port.isdigit()):
             raise ValueError(f"not a connect point: {text!r}")
-        port_no = int(port)
-        if port_no < 1:
-            raise ValueError(f"port must be >= 1 in connect point {text!r}")
-        return cls(device, port_no)
+        if port[0] == "0":
+            raise ValueError(f"port must be >= 1 with no leading zero in {text!r}")
+        return cls(device, int(port))
 
 
 @dataclass(frozen=True)

@@ -149,12 +149,18 @@ class TestTopologySelection:
         monkeypatch.setenv(TOPOLOGY_ENV_VAR, chain3_file)
         assert load_cli_topology(str(other)).device_ids == (D1,)
 
-    def test_missing_file_is_usage(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("content", [None, "{"], ids=["absent", "malformed"])
+    @pytest.mark.parametrize(
+        "argv", [["add-host-to-host-intent", "h1", "h2"], ["bench"]], ids=["add", "bench"]
+    )
+    def test_missing_file_is_usage(self, capsys, monkeypatch, tmp_path, argv, content):
         monkeypatch.delenv(TOPOLOGY_ENV_VAR, raising=False)
-        code = main(
-            ["add-host-to-host-intent", "h1", "h2", "--topology", str(tmp_path / "absent.json")]
-        )
+        path = tmp_path / "topology.json"
+        if content is not None:
+            path.write_text(content)
+        code = main([*argv, "--topology", str(path)])
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestMainEndToEnd:
@@ -253,7 +259,7 @@ class TestInterfaceEquivalence:
 
         def shapes(ctrl):
             return {
-                (r.device, r.selector, r.treatment.outputs, r.priority)
+                (r.device, r.in_port, r.selector, r.treatment.outputs, r.priority)
                 for d in ctrl.topology.device_ids
                 for r in ctrl.fabric.rules_for(d)
             }

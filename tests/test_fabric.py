@@ -31,10 +31,11 @@ def rule(
     return FlowRule(
         rule_id=next(_ids) if rule_id is None else rule_id,
         device=device,
-        selector=TrafficSelector(in_port=in_port, **sel),
+        selector=TrafficSelector(**sel),
         treatment=TrafficTreatment(outputs=tuple(out_ports)),
         owner_intent=owner,
         priority=priority,
+        in_port=in_port,
     )
 
 
@@ -53,16 +54,25 @@ class TestSelector:
 
     def test_empty_flag(self):
         assert TrafficSelector().is_empty()
-        assert not TrafficSelector(in_port=1).is_empty()
+        assert not TrafficSelector(vlan=0).is_empty()
 
     def test_matching_is_conjunctive(self):
-        sel = TrafficSelector(in_port=2, eth_dst="aa:aa:aa:aa:aa:02")
-        assert sel.matches(2, DEFAULT_HEADER)
-        assert not sel.matches(1, DEFAULT_HEADER)
-        assert not sel.matches(2, PacketHeader(DEFAULT_HEADER.eth_src, "ff:ff:ff:ff:ff:ff"))
+        r = rule(D1, 2, 1, eth_dst="aa:aa:aa:aa:aa:02")
+        assert r.matches(2, DEFAULT_HEADER)
+        assert not r.matches(1, DEFAULT_HEADER)
+        assert not r.matches(2, PacketHeader(DEFAULT_HEADER.eth_src, "ff:ff:ff:ff:ff:ff"))
 
     def test_wildcard_field_matches_anything(self):
-        assert TrafficSelector(in_port=3).matches(3, DEFAULT_HEADER)
+        assert rule(D1, 3, 1).matches(3, DEFAULT_HEADER)
+        assert rule(D1, None, 1, vlan=7).matches(3, PacketHeader(*_MACS, 7))
+
+
+class TestFlowRule:
+    def test_constructor_keeps_range_checks(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            rule(D1, 1, 2, rule_id=2**64)
+        with pytest.raises(ValueError, match="in_port"):
+            rule(D1, 0, 2)
 
 
 class TestTreatment:
@@ -358,9 +368,9 @@ _PACKETS = [
     for dst in _MACS
     for vlan in (None, 7)
 ]
+_in_ports = st.sampled_from([None, 1, 2])
 _selectors = st.builds(
     TrafficSelector,
-    in_port=st.sampled_from([None, 1, 2]),
     eth_src=st.sampled_from([None, *_MACS]),
     eth_dst=st.sampled_from([None, *_MACS]),
     vlan=st.sampled_from([None, 7, 8]),
@@ -368,7 +378,11 @@ _selectors = st.builds(
 _table_ops = st.lists(
     st.one_of(
         st.tuples(
-            st.just("add"), st.integers(1, 200), st.sampled_from([100, 200, 300]), _selectors
+            st.just("add"),
+            st.integers(1, 200),
+            st.sampled_from([100, 200, 300]),
+            _in_ports,
+            _selectors,
         ),
         st.tuples(st.just("discard"), st.integers(0, 10**6)),
         st.just(("clear",)),
@@ -378,9 +392,9 @@ _table_ops = st.lists(
 
 
 def linear_match(rules, in_port, header):
-    """The reference: the first rule in match order whose selector matches."""
+    """The reference: the first rule in match order that matches."""
     for r in sorted(rules, key=lambda r: (-r.priority, r.rule_id)):
-        if r.selector.matches(in_port, header):
+        if r.matches(in_port, header):
             return r
     return None
 
@@ -393,11 +407,11 @@ class TestTupleSpaceMatch:
         live: dict[int, FlowRule] = {}
         for op in ops:
             if op[0] == "add":
-                _, rule_id, priority, selector = op
+                _, rule_id, priority, in_port, selector = op
                 if rule_id in live:
                     continue  # the fabric keeps rule ids unique
                 new = FlowRule(
-                    rule_id, D1, selector, TrafficTreatment(outputs=(2,)), 1, priority
+                    rule_id, D1, selector, TrafficTreatment(outputs=(2,)), 1, priority, in_port
                 )
                 table.add(new)
                 live[rule_id] = new

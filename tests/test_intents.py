@@ -126,7 +126,7 @@ class TestCompilation:
         assert intent.state is IntentState.INSTALLED
         assert controller.rule_count(iid) == 3
         rules = controller.fabric.rules_of(iid)
-        assert [(r.device, r.selector.in_port, r.treatment.outputs) for r in rules] == [
+        assert [(r.device, r.in_port, r.treatment.outputs) for r in rules] == [
             (D1, 1, (2,)),
             (D2, 1, (2,)),
             (D3, 1, (2,)),
@@ -136,7 +136,7 @@ class TestCompilation:
         iid = controller.submit(PointToPoint(CP(D1, 1), CP(D1, 2)))
         assert controller.rule_count(iid) == 1
         (r,) = controller.fabric.rules_of(iid)
-        assert (r.device, r.selector.in_port, r.treatment.outputs) == (D1, 1, (2,))
+        assert (r.device, r.in_port, r.treatment.outputs) == (D1, 1, (2,))
 
     def test_star_fanout_shares_devices(self, star):
         ctrl = Controller(star)
@@ -165,7 +165,7 @@ class TestCompilation:
                 SingleToMultiPoint(CP(D1, 1), frozenset({CP(D2, 2), CP(D3, 2)}))
             )
             return [
-                (r.device, r.selector.in_port, r.treatment.outputs, r.priority)
+                (r.device, r.in_port, r.treatment.outputs, r.priority)
                 for r in ctrl.fabric.rules_of(iid)
             ]
 
@@ -184,14 +184,17 @@ def public_twin(r: FlowRule) -> FlowRule:
     return FlowRule(
         r.rule_id,
         r.device,
-        TrafficSelector(in_port=sel.in_port, eth_src=sel.eth_src, eth_dst=sel.eth_dst, vlan=sel.vlan),
+        TrafficSelector(eth_src=sel.eth_src, eth_dst=sel.eth_dst, vlan=sel.vlan),
         TrafficTreatment(outputs=r.treatment.outputs),
         r.owner_intent,
         r.priority,
+        r.in_port,
     )
 
 
 class TestStampPath:
+    """The rules a compiler stamps out of one intent."""
+
     SELECTOR = TrafficSelector(eth_src="AA:AA:AA:AA:AA:01", eth_dst="aa:aa:aa:aa:aa:02", vlan=0)
 
     @pytest.mark.parametrize(
@@ -210,8 +213,8 @@ class TestStampPath:
         assert rules and ctrl.get(iid).state is IntentState.INSTALLED
         for r in rules:
             twin = public_twin(r)
-            assert r == twin  # selector and treatment included
-            assert (r.match_key, r.key) == (twin.match_key, twin.key)
+            assert r == twin  # in_port, selector and treatment included
+            assert r.match_key == twin.match_key
             assert r.selector.eth_src == "aa:aa:aa:aa:aa:01"
             assert r.packet_count == 0
 
@@ -220,14 +223,26 @@ class TestStampPath:
         second = controller.fabric.rules_of(controller.submit(p2p_h1_h2()))
         for a, b in zip(first, second):
             assert a.treatment is b.treatment
-            assert a.selector is not b.selector
+            assert a.selector is not b.selector  # each intent has its own
 
-    def test_stamp_keeps_range_checks(self):
-        treatment = TrafficTreatment(outputs=(2,))
-        with pytest.raises(ValueError, match="64-bit"):
-            FlowRule.compiled(2**64, D1, TrafficSelector(), 1, treatment, 1, 100)
-        with pytest.raises(ValueError, match="in_port"):
-            FlowRule.compiled(1, D1, TrafficSelector(), 0, treatment, 1, 100)
+    @pytest.mark.parametrize(
+        "topology, request_",
+        [
+            ("star", PointToPoint(CP(D1, 1), CP(D3, 2))),
+            ("star", SingleToMultiPoint(CP(D1, 1), frozenset({CP(D2, 2), CP(D3, 2)}))),
+            ("star", MultiToSinglePoint(frozenset({CP(D1, 1), CP(D2, 2)}), CP(D3, 2))),
+            ("chain3", HostToHost("h1", "h2")),
+        ],
+        ids=["P2P", "S2M", "M2S", "H2H"],
+    )
+    def test_rules_hold_their_intents_selector(self, request, topology, request_):
+        ctrl = Controller(request.getfixturevalue(topology))
+        ctrl.submit(request_, selector=self.SELECTOR)
+        leaves = [i for i in ctrl.list() if not i.child_ids]
+        assert leaves and all(i.state is IntentState.INSTALLED for i in leaves)
+        for intent in leaves:
+            rules = ctrl.fabric.rules_of(intent.id)
+            assert rules and all(r.selector is intent.selector for r in rules)
 
 
 class TestLifecycleAccounting:

@@ -183,7 +183,8 @@ def raw_request(method: str, path: bytes, body: bytes = b"") -> bytes:
 
 
 class TestMalformedRequests:
-    """Requests that once made the handler raise and drop the connection."""
+    """Requests that once made the handler raise and drop the connection, or
+    that reached an intent through a zero-padded id."""
 
     @pytest.mark.parametrize(
         "request_bytes, status",
@@ -195,11 +196,15 @@ class TestMalformedRequests:
             # the request line is read as Latin-1, whose superscripts are digits
             (raw_request("GET", b"/intents/\xb9"), 404),
             (raw_request("DELETE", b"/intents/\xb9"), 404),
+            # intent 1 exists, but only under its own spelling
+            (raw_request("GET", b"/intents/01"), 404),
+            (raw_request("DELETE", b"/intents/01"), 404),
             (b"POST /intents HTTP/1.1\r\nHost: x\r\nContent-Length: "
              + b"9" * 5000 + b"\r\n\r\n", 413),
         ],
         ids=["deep-nesting", "not-utf8", "get-long-id", "delete-long-id",
-             "get-superscript-id", "delete-superscript-id", "long-length"],
+             "get-superscript-id", "delete-superscript-id", "get-zero-padded-id",
+             "delete-zero-padded-id", "long-length"],
     )
     def test_answered_with_a_status_line(self, rest, request_bytes, status):
         _, client = rest

@@ -37,7 +37,7 @@ def canonical_rules(controller: Controller, intent_id: int) -> list[tuple]:
             (
                 r.device,
                 r.rule_id,
-                (sel.in_port, sel.eth_src, sel.eth_dst, sel.vlan),
+                (r.in_port, sel.eth_src, sel.eth_dst, sel.vlan),
                 (r.treatment.outputs, False, None),
                 r.priority,
                 r.owner_intent,

@@ -39,7 +39,7 @@ class TestConnectPoint:
         [
             "", "of:1/1", f"{D1}", f"{D1}/", f"{D1}/x", f"{D1}/0", "OF:0000000000000001/1",
             # int() takes each of these, but none is the string form of its port
-            f"{D1}/1_0", f"{D1}/ 1", f"{D1}/+1", f"{D1}/\u0661",
+            f"{D1}/1_0", f"{D1}/ 1", f"{D1}/+1", f"{D1}/\u0661", f"{D1}/01",
         ],
     )
     def test_rejects_malformed(self, text):
