@@ -97,6 +97,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0-65535, got {value}")
+    return value
+
+
 def _connect_point(text: str) -> ConnectPoint:
     try:
         return ConnectPoint.parse(text)
@@ -159,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", parents=[common], help="run the REST interface over this controller"
     )
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8181)
+    serve.add_argument("--port", type=_port, default=8181, help="0 picks a free port")
     serve.add_argument("--capacity", type=_positive_int, default=None)
 
     bench = sub.add_parser(
@@ -214,7 +224,11 @@ def run_add_command(args: argparse.Namespace, controller: Controller) -> int:
 def _run_serve(args: argparse.Namespace, controller: Controller) -> int:
     from .rest import RestServer
 
-    server = RestServer(controller, args.host, args.port).start()
+    try:
+        server = RestServer(controller, args.host, args.port).start()
+    except OSError as exc:  # the port is taken, or the host is not ours
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"listening on http://{server.endpoint}")
     try:
         while True:
@@ -231,6 +245,8 @@ def _run_bench(args: argparse.Namespace) -> int:
 
     try:
         config = bench.config_from_args(args)
+        # the report directory is made before the sweep, so a bad --out stops it
+        os.makedirs(config.output_dir, exist_ok=True)
         runner = bench.BenchRunner(config)  # loads the topology
     except (ValueError, OSError, IntentdError) as exc:
         print(f"error: {exc}", file=sys.stderr)

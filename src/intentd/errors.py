@@ -65,8 +65,6 @@ class IllegalStateError(IntentdError):
 class RequestSchemaError(IntentdError, ValueError):
     """A request document is missing, malformed, or does not fit the schema."""
 
-    status = 400  # the HTTP status the REST interface answers with
-
 
 class UnreachableEndpointError(IntentdError):
     """A REST client could not reach its server, or the server was not healthy."""

@@ -11,10 +11,11 @@ import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, Callable, NoReturn
 
 from .errors import (
     IllegalStateError,
+    IntentdError,
     IntentValidationError,
     RequestSchemaError,
     StoreCapacityError,
@@ -35,10 +36,27 @@ MAX_BATCH_COUNT = 20_000
 class BodyTooLargeError(RequestSchemaError):
     """Content-Length exceeds MAX_BODY_BYTES."""
 
-    status = 413
+
+class NoSuchRouteError(IntentdError):
+    """No route serves this method and path."""
+
+
+# the one place an error's status is chosen: an error takes the entry of its
+# nearest class along the MRO, and one with no entry is a 500
+ERROR_STATUS: dict[type[Exception], int] = {
+    BodyTooLargeError: 413,
+    RequestSchemaError: 400,
+    UnknownIntentError: 404,
+    NoSuchRouteError: 404,
+    IntentValidationError: 422,
+    StoreCapacityError: 409,
+    IllegalStateError: 409,
+}
 
 
 class _ApiHandler(BaseHTTPRequestHandler):
+    """Each route returns (status, body) or raises; `_serve` writes the reply."""
+
     protocol_version = "HTTP/1.1"
     # headers and body leave as separate writes; without this Nagle holds the
     # body back for the delayed ACK and every response takes an extra 40 ms
@@ -51,6 +69,21 @@ class _ApiHandler(BaseHTTPRequestHandler):
     def controller(self) -> Controller:
         return self.server.controller  # type: ignore[attr-defined]
 
+    def _serve(self, route: Callable[[], tuple[int, Any]]) -> None:
+        try:
+            status, body = route()
+        except Exception as exc:
+            for cls in type(exc).__mro__:
+                if cls in ERROR_STATUS:
+                    status, body = ERROR_STATUS[cls], {"error": str(exc)}
+                    break
+            else:
+                # answer, then let socketserver print the traceback and close
+                self.close_connection = True
+                self._reply(500, {"error": "internal server error"})
+                raise
+        self._reply(status, body)
+
     def _reply(self, status: int, body: dict | list | None) -> None:
         payload = b"" if body is None else json.dumps(body).encode("utf-8")
         self.send_response(status)
@@ -58,13 +91,11 @@ class _ApiHandler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         if payload:
             self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        if status != 204:  # a 204 carries neither a body nor its length
+            self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         if payload:
             self.wfile.write(payload)
-
-    def _error(self, status: int, reason: str) -> None:
-        self._reply(status, {"error": reason})
 
     def _read_json(self) -> Any:
         # a refused body stays unread, so the connection cannot carry another request
@@ -84,63 +115,55 @@ class _ApiHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            # the decoder recurses once per level of nesting
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad JSON, bad UTF-8 and integers over 4300
+            # digits; the decoder recurses once per level of nesting
             raise RequestSchemaError(f"body is not valid JSON: {exc}") from None
 
-    def _intent_id(self) -> int | None:
-        """The id in a /intents/<id> path; None, after a 404, if it is not one."""
+    def _intent_id(self) -> int:
+        """The id in a /intents/<id> path; UnknownIntentError if it is not one."""
         raw = self.path[len("/intents/") :]
         # ASCII digits only, as str.isdigit also takes other scripts' digits,
         # and no leading zero, so each id has one path; no id reaches 21
         # digits, and int() refuses more than 4300
         if raw.isascii() and raw.isdigit() and raw[0] != "0" and len(raw) <= 20:
             return int(raw)
-        self._error(404, f"unknown intent {raw}")
-        return None
+        raise UnknownIntentError(f"unknown intent {raw}")
+
+    def _no_route(self) -> NoReturn:
+        self.close_connection = True  # any body stays unread
+        raise NoSuchRouteError(f"no such route: {self.command} {self.path}")
 
     def do_POST(self) -> None:
-        if self.path == "/intents":
-            self._post_intent()
-        elif self.path == "/intents/batch":
-            self._post_batch()
+        routes = {"/intents": self._post_intent, "/intents/batch": self._post_batch}
+        self._serve(routes.get(self.path, self._no_route))
+
+    def do_GET(self) -> None:
+        if self.path.startswith("/intents/"):
+            self._serve(self._get_intent)
         else:
-            self._error(404, f"no such route: POST {self.path}")
+            routes = {"/health": self._health, "/intents": self._list_intents}
+            self._serve(routes.get(self.path, self._no_route))
 
-    def _post_intent(self) -> None:
-        controller = self.controller
-        try:
-            doc = self._read_json()
-            request, priority, selector = parse_intent_document(doc)
-        except RequestSchemaError as exc:
-            self._error(exc.status, str(exc))
-            return
-        try:
-            intent_id = controller.submit(request, priority=priority, selector=selector)
-        except StoreCapacityError as exc:
-            self._error(409, str(exc))
-            return
-        except IntentValidationError as exc:
-            self._error(422, str(exc))
-            return
-        intent = controller.get(intent_id)
-        self._reply(201, intent_document(controller, intent))
+    def do_DELETE(self) -> None:
+        on_intent = self.path.startswith("/intents/")
+        self._serve(self._delete_intent if on_intent else self._no_route)
 
-    def _post_batch(self) -> None:
+    def _post_intent(self) -> tuple[int, Any]:
         controller = self.controller
-        try:
-            doc = self._read_json()
-            request, priority, selector = parse_intent_document(
-                doc, extra_fields=("count",)
-            )
-            count = doc.get("count")
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise RequestSchemaError("count must be a positive integer")
-            if count > MAX_BATCH_COUNT:
-                raise RequestSchemaError(f"count {count} exceeds the limit of {MAX_BATCH_COUNT}")
-        except RequestSchemaError as exc:
-            self._error(exc.status, str(exc))
-            return
+        request, priority, selector = parse_intent_document(self._read_json())
+        intent_id = controller.submit(request, priority=priority, selector=selector)
+        return 201, intent_document(controller, controller.get(intent_id))
+
+    def _post_batch(self) -> tuple[int, Any]:
+        controller = self.controller
+        doc = self._read_json()
+        request, priority, selector = parse_intent_document(doc, extra_fields=("count",))
+        count = doc.get("count")
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            raise RequestSchemaError("count must be a positive integer")
+        if count > MAX_BATCH_COUNT:
+            raise RequestSchemaError(f"count {count} exceeds the limit of {MAX_BATCH_COUNT}")
         installed = failed = 0
         try:
             for _ in range(count):
@@ -151,60 +174,30 @@ class _ApiHandler(BaseHTTPRequestHandler):
                     installed += 1
                 else:
                     failed += 1
-        except StoreCapacityError as exc:
+        except StoreCapacityError:
             if installed + failed == 0:
-                self._error(409, str(exc))
-                return
-        except IntentValidationError as exc:
-            self._error(422, str(exc))
-            return
-        self._reply(
-            201, {"submitted": installed + failed, "installed": installed, "failed": failed}
-        )
+                raise
+            # a store that fills part way through is a partial success
+        return 201, {"submitted": installed + failed, "installed": installed, "failed": failed}
 
-    def do_GET(self) -> None:
+    def _health(self) -> tuple[int, Any]:
         controller = self.controller
-        if self.path == "/health":
-            self._reply(
-                200,
-                {
-                    "intents_live": controller.live_intents(),
-                    "rules_installed": controller.installed_rules(),
-                },
-            )
-        elif self.path == "/intents":
-            docs = [intent_document(controller, i) for i in controller.list()]
-            self._reply(200, docs)
-        elif self.path.startswith("/intents/"):
-            intent_id = self._intent_id()
-            if intent_id is None:
-                return
-            try:
-                intent = controller.get(intent_id)
-            except UnknownIntentError as exc:
-                self._error(404, str(exc))
-                return
-            self._reply(200, intent_document(controller, intent))
-        else:
-            self._error(404, f"no such route: GET {self.path}")
+        return 200, {
+            "intents_live": controller.live_intents(),
+            "rules_installed": controller.installed_rules(),
+        }
 
-    def do_DELETE(self) -> None:
+    def _list_intents(self) -> tuple[int, Any]:
         controller = self.controller
-        if not self.path.startswith("/intents/"):
-            self._error(404, f"no such route: DELETE {self.path}")
-            return
-        intent_id = self._intent_id()
-        if intent_id is None:
-            return
-        try:
-            controller.withdraw(intent_id)
-        except UnknownIntentError as exc:
-            self._error(404, str(exc))
-            return
-        except IllegalStateError as exc:
-            self._error(409, str(exc))
-            return
-        self._reply(204, None)
+        return 200, [intent_document(controller, i) for i in controller.list()]
+
+    def _get_intent(self) -> tuple[int, Any]:
+        controller = self.controller
+        return 200, intent_document(controller, controller.get(self._intent_id()))
+
+    def _delete_intent(self) -> tuple[int, Any]:
+        self.controller.withdraw(self._intent_id())
+        return 204, None
 
 
 class RestServer:

@@ -114,10 +114,10 @@ class Topology:
             if not DEVICE_ID_RE.match(dev):
                 raise TopologyValidationError(f"bad device id {dev!r}")
             port_list = list(ports)
-            if len(port_list) != len(set(port_list)):
-                raise TopologyValidationError(f"device {dev} lists a port twice")
             if any((not isinstance(p, int)) or p < 1 for p in port_list):
                 raise TopologyValidationError(f"device {dev} has a port < 1")
+            if len(port_list) != len(set(port_list)):
+                raise TopologyValidationError(f"device {dev} lists a port twice")
             self._ports[dev] = frozenset(port_list)
 
         expanded: list[Link] = []
@@ -232,14 +232,22 @@ def load_topology(document) -> Topology:
     if not isinstance(document, Mapping):
         raise TopologyParseError("topology document must be a JSON object")
 
+    for section in ("devices", "links", "hosts"):
+        if not isinstance(document.get(section, []), list):
+            raise TopologyValidationError(f"topology {section} must be a list")
+
     devices: dict[str, list[int]] = {}
     for entry in document.get("devices", []):
         if not isinstance(entry, Mapping) or "id" not in entry:
             raise TopologyValidationError(f"device entry missing id: {entry!r}")
-        dev = entry["id"]
+        dev, ports = entry["id"], entry.get("ports", [])
+        if not isinstance(dev, str):
+            raise TopologyValidationError(f"device id must be a string: {entry!r}")
+        if not isinstance(ports, list):
+            raise TopologyValidationError(f"device {dev} ports must be a list: {entry!r}")
         if dev in devices:
             raise TopologyValidationError(f"duplicate device {dev}")
-        devices[dev] = entry.get("ports", [])
+        devices[dev] = ports
 
     links: list[Link] = []
     for entry in document.get("links", []):
@@ -255,8 +263,9 @@ def load_topology(document) -> Topology:
 
     hosts: dict[str, ConnectPoint] = {}
     for entry in document.get("hosts", []):
-        if not isinstance(entry, Mapping) or "id" not in entry or "attach" not in entry:
-            raise TopologyValidationError(f"host entry needs id and attach: {entry!r}")
+        if not (isinstance(entry, Mapping) and isinstance(entry.get("id"), str)
+                and isinstance(entry.get("attach"), str)):
+            raise TopologyValidationError(f"host entry needs a string id and attach: {entry!r}")
         host = entry["id"]
         if host in hosts:
             raise TopologyValidationError(f"duplicate host {host}")

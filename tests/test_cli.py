@@ -1,6 +1,7 @@
 """Command-line verbs, exit codes, the timed submission loop, and the demo script."""
 import json
 import os
+import socket
 import subprocess
 import sys
 
@@ -149,7 +150,16 @@ class TestTopologySelection:
         monkeypatch.setenv(TOPOLOGY_ENV_VAR, chain3_file)
         assert load_cli_topology(str(other)).device_ids == (D1,)
 
-    @pytest.mark.parametrize("content", [None, "{"], ids=["absent", "malformed"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "{",
+            json.dumps({"devices": [{"id": D1, "ports": 5}]}),
+            json.dumps({"devices": [{"id": 5, "ports": [1]}]}),
+        ],
+        ids=["absent", "malformed", "ports-not-a-list", "id-not-a-string"],
+    )
     @pytest.mark.parametrize(
         "argv", [["add-host-to-host-intent", "h1", "h2"], ["bench"]], ids=["add", "bench"]
     )
@@ -211,6 +221,41 @@ class TestMainEndToEnd:
         with pytest.raises(SystemExit) as exc:
             parse(argv)
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_out_of_range_rejected_by_parser(self, port, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(["serve", "--port", port])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_port_in_use_is_usage(self):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            # a serve that did bind would run until the timeout fails the test
+            proc = subprocess.run(
+                [sys.executable, "-m", "intentd.cli", "serve", "--port", str(port)],
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_bad_bench_out_stops_before_the_sweep(self, capsys, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        code = main(
+            ["bench", "--out", str(blocker / "report"), "--types", "P2P",
+             "--interfaces", "CLI", "--workloads", "2,4,6", "--iterations", "2",
+             "--saturation", "0"]
+        )
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert "workload=" not in out
 
     def test_console_script_help(self):
         proc = subprocess.run(

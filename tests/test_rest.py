@@ -1,4 +1,5 @@
 """HTTP surface: routing, status codes, schema strictness and concurrent clients."""
+import json
 import random
 import socket
 import sys
@@ -108,6 +109,12 @@ class TestSubmitRoute:
         _, client = rest
         assert client.request("POST", "/nope", p2p_doc())[0] == 404
 
+    def test_unknown_route_body_is_not_read_as_the_next_request(self, rest):
+        _, client = rest
+        status, body = client.request("POST", "/nope", p2p_doc())
+        assert (status, body["error"]) == (404, "no such route: POST /nope")
+        assert client.health() == (200, {"intents_live": 0, "rules_installed": 0})
+
 
 class TestSchemaStrictness:
     @pytest.mark.parametrize(
@@ -182,6 +189,12 @@ def raw_request(method: str, path: bytes, body: bytes = b"") -> bytes:
     )
 
 
+def long_integer_doc(field: str) -> bytes:
+    """A P2P document whose `field` is an integer of 5000 digits."""
+    head = json.dumps(p2p_doc())[:-1].encode("ascii")
+    return head + f', "{field}": '.encode("ascii") + b"1" * 5000 + b"}"
+
+
 class TestMalformedRequests:
     """Requests that once made the handler raise and drop the connection, or
     that reached an intent through a zero-padded id."""
@@ -201,10 +214,13 @@ class TestMalformedRequests:
             (raw_request("DELETE", b"/intents/01"), 404),
             (b"POST /intents HTTP/1.1\r\nHost: x\r\nContent-Length: "
              + b"9" * 5000 + b"\r\n\r\n", 413),
+            # json.loads refuses an integer of more than 4300 digits
+            (raw_request("POST", b"/intents", long_integer_doc("priority")), 400),
+            (raw_request("POST", b"/intents/batch", long_integer_doc("count")), 400),
         ],
         ids=["deep-nesting", "not-utf8", "get-long-id", "delete-long-id",
              "get-superscript-id", "delete-superscript-id", "get-zero-padded-id",
-             "delete-zero-padded-id", "long-length"],
+             "delete-zero-padded-id", "long-length", "long-priority", "long-count"],
     )
     def test_answered_with_a_status_line(self, rest, request_bytes, status):
         _, client = rest
@@ -266,6 +282,59 @@ class TestWithdrawRoute:
         assert ctrl.installed_rules() == 6
         assert client.delete_intent(pair["id"]) == (204, None)
         assert ctrl.installed_rules() == 0
+
+    def test_204_has_no_length_and_keeps_the_connection(self, rest):
+        _, client = rest
+        _, created = client.post_intent(p2p_doc())
+        path = f"/intents/{created['id']}".encode("ascii")
+        with socket.create_connection((client.host, client.port), timeout=5) as sock:
+            sock.sendall(b"DELETE " + path + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+            head = b""
+            while not head.endswith(b"\r\n\r\n"):
+                chunk = sock.recv(1)
+                assert chunk, f"connection closed after {head!r}"
+                head += chunk
+            assert head.startswith(b"HTTP/1.1 204 ")
+            assert b"content-length" not in head.lower()
+            sock.sendall(raw_request("GET", b"/health"))
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply.endswith(b'{"intents_live": 0, "rules_installed": 0}')
+
+
+class FailingController(Controller):
+    """A controller whose submit fails in a way no route expects."""
+
+    def __init__(self, topology) -> None:
+        super().__init__(topology)
+        self.submits = 0
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        raise RuntimeError("submit broke")
+
+
+class TestUnexpectedErrors:
+    def test_500_closes_and_the_server_keeps_serving(self, chain3):
+        ctrl = FailingController(chain3)
+        server = RestServer(ctrl, "127.0.0.1", 0).start()
+        client = RestClient(server.host, server.port)
+        try:
+            # answered once, so the client does not send the POST again
+            assert client.post_intent(p2p_doc()) == (500, {"error": "internal server error"})
+            assert ctrl.submits == 1
+            # a keep-alive request: the close comes from the server
+            body = json.dumps(p2p_doc()).encode("ascii")
+            head = b"POST /intents HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+            reply = exchange(client, head % len(body) + body)
+            assert reply.startswith(b"HTTP/1.1 500 ")
+            assert b"Connection: close" in reply
+            assert client.health() == (200, {"intents_live": 0, "rules_installed": 0})
+        finally:
+            client.close()
+            server.stop()
 
 
 class TestBatchRoute:

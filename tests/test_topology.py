@@ -109,6 +109,34 @@ class TestLoading:
         with pytest.raises(TopologyValidationError):
             load_topology(doc)
 
+    @pytest.mark.parametrize(
+        "device, named",
+        [
+            ({"id": D1, "ports": 5}, f"{D1} ports"),
+            ({"id": 5, "ports": [1]}, "'id': 5"),
+            ({"id": D1, "ports": [[1]]}, f"{D1} has a port"),
+        ],
+        ids=["ports-not-a-list", "id-not-a-string", "port-not-an-integer"],
+    )
+    def test_wrongly_typed_device_names_the_entry(self, device, named):
+        with pytest.raises(TopologyValidationError, match=named):
+            load_topology({"devices": [device]})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"devices": 5},
+            {"links": 5},
+            dict(CHAIN3_DOCUMENT, hosts=[{"id": "h1", "attach": 5}]),
+            dict(CHAIN3_DOCUMENT, hosts=[{"id": ["h1"], "attach": f"{D1}/1"}]),
+        ],
+        ids=["devices-not-a-list", "links-not-a-list", "attach-not-a-string",
+             "host-id-not-a-string"],
+    )
+    def test_wrongly_typed_section_or_host_rejected(self, doc):
+        with pytest.raises(TopologyValidationError):
+            load_topology(doc)
+
     def test_duplicate_device_rejected(self):
         doc = {"devices": [{"id": D1, "ports": [1]}, {"id": D1, "ports": [2]}]}
         with pytest.raises(TopologyValidationError, match=D1):
