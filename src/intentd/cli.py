@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .errors import IntentdError, IntentValidationError, StoreCapacityError
 from .fabric import DEFAULT_PRIORITY, TrafficSelector
@@ -23,7 +22,7 @@ from .intents import (
     IntentState,
     validate_request,
 )
-from .topology import ConnectPoint, Topology, default_topology, load_topology_file
+from .topology import ConnectPoint, FrozenRecord, Topology, default_topology, load_topology_file
 
 TOPOLOGY_ENV_VAR = "INTENTD_TOPOLOGY"
 
@@ -32,14 +31,16 @@ EXIT_USAGE = 2
 EXIT_PARTIAL = 3
 
 
-@dataclass(frozen=True)
-class TimedResult:
+class TimedResult(FrozenRecord):
     """Outcome of one timed add loop; submitted = installed + failed."""
 
-    submitted: int
-    installed: int
-    failed: int
-    elapsed_ms: float
+    __slots__ = _fields = ("submitted", "installed", "failed", "elapsed_ms")
+
+    def __init__(self, submitted: int, installed: int, failed: int, elapsed_ms: float) -> None:
+        object.__setattr__(self, "submitted", submitted)
+        object.__setattr__(self, "installed", installed)
+        object.__setattr__(self, "failed", failed)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
 
 def timed_add(

@@ -6,12 +6,11 @@ synthetic packet through the tables to check what a rule set actually does.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
 from .errors import DuplicateRuleError, LoopDetectedError, UnknownDeviceError
-from .topology import MAC_RE, ConnectPoint, Topology
+from .topology import MAC_RE, ConnectPoint, FrozenRecord, Record, Topology
 
 DEFAULT_PRIORITY = 100
 
@@ -33,45 +32,41 @@ def _check_vlan(value: int | None) -> int | None:
     return value
 
 
-@dataclass(frozen=True)
-class PacketHeader:
-    eth_src: str
-    eth_dst: str
-    vlan: int | None = None
+class PacketHeader(FrozenRecord):
+    __slots__ = _fields = ("eth_src", "eth_dst", "vlan")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eth_src", _check_mac(self.eth_src, "eth_src"))
-        object.__setattr__(self, "eth_dst", _check_mac(self.eth_dst, "eth_dst"))
-        _check_vlan(self.vlan)
+    def __init__(self, eth_src: str, eth_dst: str, vlan: int | None = None) -> None:
+        object.__setattr__(self, "eth_src", _check_mac(eth_src, "eth_src"))
+        object.__setattr__(self, "eth_dst", _check_mac(eth_dst, "eth_dst"))
+        object.__setattr__(self, "vlan", _check_vlan(vlan))
 
 
-@dataclass(frozen=True, slots=True)
-class TrafficSelector:
+class TrafficSelector(FrozenRecord):
     """Header match criteria; an unset field matches anything."""
 
-    eth_src: str | None = None
-    eth_dst: str | None = None
-    vlan: int | None = None
+    __slots__ = _fields = ("eth_src", "eth_dst", "vlan")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eth_src", _check_mac(self.eth_src, "eth_src"))
-        object.__setattr__(self, "eth_dst", _check_mac(self.eth_dst, "eth_dst"))
-        _check_vlan(self.vlan)
+    def __init__(
+        self, eth_src: str | None = None, eth_dst: str | None = None, vlan: int | None = None
+    ) -> None:
+        object.__setattr__(self, "eth_src", _check_mac(eth_src, "eth_src"))
+        object.__setattr__(self, "eth_dst", _check_mac(eth_dst, "eth_dst"))
+        object.__setattr__(self, "vlan", _check_vlan(vlan))
 
     def is_empty(self) -> bool:
         return self.eth_src is None and self.eth_dst is None and self.vlan is None
 
 
-@dataclass(frozen=True, slots=True)
-class TrafficTreatment:
+class TrafficTreatment(FrozenRecord):
     """Forwarding actions: copy the packet out of every listed port."""
 
-    outputs: tuple[int, ...]
+    __slots__ = _fields = ("outputs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        if not self.outputs:
+    def __init__(self, outputs: tuple[int, ...]) -> None:
+        outputs = tuple(outputs)
+        if not outputs:
             raise ValueError("a treatment needs at least one output port")
+        object.__setattr__(self, "outputs", outputs)
 
 
 class TreatmentCache(dict):
@@ -88,35 +83,46 @@ class TreatmentCache(dict):
         return treatment
 
 
-@dataclass(slots=True)
-class FlowRule:
+class FlowRule(Record):
     """One device's rule: packets arriving on `in_port` (None: any port) whose
     header matches `selector` leave by `treatment`.  Rules compiled from one
-    intent share its selector; only packet_count changes after construction."""
+    intent share its selector; only packet_count changes after construction.
 
-    rule_id: int
-    device: str
-    selector: TrafficSelector
-    treatment: TrafficTreatment
-    owner_intent: int
-    priority: int = DEFAULT_PRIORITY
-    in_port: int | None = None
-    packet_count: int = 0
+    `match_key` is (in_port, eth_src, eth_dst, vlan), None where unset, built
+    once here: rules that match the same packets have equal match keys."""
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.rule_id < 2**64:
-            raise ValueError(f"rule_id out of 64-bit range: {self.rule_id}")
-        if self.in_port is not None and self.in_port < 1:
-            raise ValueError(f"in_port must be >= 1, got {self.in_port}")
-        if self.packet_count < 0:
+    _fields = (
+        "rule_id", "device", "selector", "treatment", "owner_intent",
+        "priority", "in_port", "packet_count",
+    )
+    __slots__ = _fields + ("match_key",)
+
+    def __init__(
+        self,
+        rule_id: int,
+        device: str,
+        selector: TrafficSelector,
+        treatment: TrafficTreatment,
+        owner_intent: int,
+        priority: int = DEFAULT_PRIORITY,
+        in_port: int | None = None,
+        packet_count: int = 0,
+    ) -> None:
+        if not 0 <= rule_id < 2**64:
+            raise ValueError(f"rule_id out of 64-bit range: {rule_id}")
+        if in_port is not None and in_port < 1:
+            raise ValueError(f"in_port must be >= 1, got {in_port}")
+        if packet_count < 0:
             raise ValueError("packet_count must be non-negative")
-
-    @property
-    def match_key(self) -> tuple:
-        """(in_port, eth_src, eth_dst, vlan), None where unset: rules that
-        match the same packets have equal match keys."""
-        sel = self.selector
-        return (self.in_port, sel.eth_src, sel.eth_dst, sel.vlan)
+        self.rule_id = rule_id
+        self.device = device
+        self.selector = selector
+        self.treatment = treatment
+        self.owner_intent = owner_intent
+        self.priority = priority
+        self.in_port = in_port
+        self.packet_count = packet_count
+        self.match_key = (in_port, selector.eth_src, selector.eth_dst, selector.vlan)
 
     def matches(self, in_port: int, header: PacketHeader) -> bool:
         """True when every set field equals the packet's; the linear
@@ -130,14 +136,22 @@ class FlowRule:
         )
 
 
-@dataclass(frozen=True)
-class DeliveryReport:
-    """Where one injected packet (and its copies) ended up."""
+class DeliveryReport(FrozenRecord):
+    """Where one injected packet (and its copies) ended up.  `dropped_at` is
+    always empty, since every treatment has an output; it stays for callers
+    that read it."""
 
-    delivered: frozenset[tuple[ConnectPoint, int]]
-    # always empty: every treatment has an output; kept for callers that read it
-    dropped_at: frozenset[str]
-    misses: frozenset[str]
+    __slots__ = _fields = ("delivered", "dropped_at", "misses")
+
+    def __init__(
+        self,
+        delivered: frozenset[tuple[ConnectPoint, int]],
+        dropped_at: frozenset[str],
+        misses: frozenset[str],
+    ) -> None:
+        object.__setattr__(self, "delivered", delivered)
+        object.__setattr__(self, "dropped_at", dropped_at)
+        object.__setattr__(self, "misses", misses)
 
 
 def _match_order(rule: FlowRule) -> tuple[int, int]:
@@ -154,8 +168,8 @@ _MATCH_ANY = (None, None, None, None)
 class FlowTable:
     """Rules of one device, looked up by tuple space search.
 
-    Rules are grouped by their match key, a tuple that the `FlowRule.match_key`
-    property builds on each read.  `_index` maps a key to its only rule or,
+    Rules are grouped by their match key, the tuple each `FlowRule` stores
+    as `match_key`.  `_index` maps a key to its only rule or,
     when several share it, to a dict of them kept in match order (descending
     priority, then rule id), so a key's first rule is its best.  A rule that
     sorts after the key's last one (one priority and rising ids, which is

@@ -8,7 +8,6 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Union
 
 from .errors import (
@@ -29,7 +28,7 @@ from .fabric import (
     TrafficTreatment,
     TreatmentCache,
 )
-from .topology import ConnectPoint, Path, Topology, host_mac, shortest_path
+from .topology import ConnectPoint, FrozenRecord, Path, Record, Topology, host_mac, shortest_path
 
 
 class IntentState(enum.Enum):
@@ -52,42 +51,40 @@ TRANSITIONS: dict[IntentState, tuple[IntentState, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class PointToPoint:
-    ingress: ConnectPoint
-    egress: ConnectPoint
-
+class PointToPoint(FrozenRecord):
+    __slots__ = _fields = ("ingress", "egress")
     type_name = "P2P"
 
+    def __init__(self, ingress: ConnectPoint, egress: ConnectPoint) -> None:
+        object.__setattr__(self, "ingress", ingress)
+        object.__setattr__(self, "egress", egress)
 
-@dataclass(frozen=True)
-class SingleToMultiPoint:
-    ingress: ConnectPoint
-    egresses: frozenset[ConnectPoint]
 
+class SingleToMultiPoint(FrozenRecord):
+    __slots__ = _fields = ("ingress", "egresses")
     type_name = "S2M"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "egresses", frozenset(self.egresses))
+    def __init__(self, ingress: ConnectPoint, egresses: frozenset[ConnectPoint]) -> None:
+        object.__setattr__(self, "ingress", ingress)
+        object.__setattr__(self, "egresses", frozenset(egresses))
 
 
-@dataclass(frozen=True)
-class MultiToSinglePoint:
-    ingresses: frozenset[ConnectPoint]
-    egress: ConnectPoint
-
+class MultiToSinglePoint(FrozenRecord):
+    __slots__ = _fields = ("ingresses", "egress")
     type_name = "M2S"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ingresses", frozenset(self.ingresses))
+    def __init__(self, ingresses: frozenset[ConnectPoint], egress: ConnectPoint) -> None:
+        object.__setattr__(self, "ingresses", frozenset(ingresses))
+        object.__setattr__(self, "egress", egress)
 
 
-@dataclass(frozen=True)
-class HostToHost:
-    one: str
-    two: str
-
+class HostToHost(FrozenRecord):
+    __slots__ = _fields = ("one", "two")
     type_name = "H2H"
+
+    def __init__(self, one: str, two: str) -> None:
+        object.__setattr__(self, "one", one)
+        object.__setattr__(self, "two", two)
 
 
 IntentRequest = Union[PointToPoint, SingleToMultiPoint, MultiToSinglePoint, HostToHost]
@@ -177,20 +174,34 @@ def parse_intent_document(
         raise RequestSchemaError(str(exc)) from None
 
 
-@dataclass
-class Intent:
-    """One stored intent and its lifecycle state."""
+class Intent(Record):
+    """One stored intent and its lifecycle state.  `child_ids` is set once a
+    host-to-host parent has been expanded, even to no legs; `parent_id` names
+    the host-to-host parent that owns a leg."""
 
-    id: int
-    request: IntentRequest
-    selector: TrafficSelector
-    priority: int
-    state: IntentState
-    failure: str | None = None
-    # set once a host-to-host parent has been expanded, even to no legs
-    child_ids: tuple[int, ...] | None = None
-    # the host-to-host parent that owns this leg
-    parent_id: int | None = None
+    __slots__ = _fields = (
+        "id", "request", "selector", "priority", "state", "failure", "child_ids", "parent_id",
+    )
+
+    def __init__(
+        self,
+        id: int,
+        request: IntentRequest,
+        selector: TrafficSelector,
+        priority: int,
+        state: IntentState,
+        failure: str | None = None,
+        child_ids: tuple[int, ...] | None = None,
+        parent_id: int | None = None,
+    ) -> None:
+        self.id = id
+        self.request = request
+        self.selector = selector
+        self.priority = priority
+        self.state = state
+        self.failure = failure
+        self.child_ids = child_ids
+        self.parent_id = parent_id
 
     @property
     def type_name(self) -> str:
@@ -504,15 +515,10 @@ class Controller:
         attach_two = self.topology.host_attachment(request.two)
         mac_one = host_mac(request.one)
         mac_two = host_mac(request.two)
+        vlan = intent.selector.vlan
         legs = (
-            (
-                PointToPoint(attach_one, attach_two),
-                replace(intent.selector, eth_src=mac_one, eth_dst=mac_two),
-            ),
-            (
-                PointToPoint(attach_two, attach_one),
-                replace(intent.selector, eth_src=mac_two, eth_dst=mac_one),
-            ),
+            (PointToPoint(attach_one, attach_two), TrafficSelector(mac_one, mac_two, vlan)),
+            (PointToPoint(attach_two, attach_one), TrafficSelector(mac_two, mac_one, vlan)),
         )
         child_ids: list[int] = []
         failure: str | None = None

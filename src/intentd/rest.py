@@ -99,6 +99,9 @@ class _ApiHandler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> Any:
         # a refused body stays unread, so the connection cannot carry another request
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise RequestSchemaError("a body must come with Content-Length, not Transfer-Encoding")
         declared = self.headers.get("Content-Length", "0").strip()
         if not (declared.isascii() and declared.isdigit()):
             self.close_connection = True
@@ -138,7 +141,15 @@ class _ApiHandler(BaseHTTPRequestHandler):
         routes = {"/intents": self._post_intent, "/intents/batch": self._post_batch}
         self._serve(routes.get(self.path, self._no_route))
 
+    def _close_if_body(self) -> None:
+        """GET and DELETE read no body, so one that a request declares would
+        be parsed as the next request; the reply closes the connection."""
+        declared = self.headers.get("Content-Length", "0").strip()
+        if declared != "0" or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+
     def do_GET(self) -> None:
+        self._close_if_body()
         if self.path.startswith("/intents/"):
             self._serve(self._get_intent)
         else:
@@ -146,6 +157,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
             self._serve(routes.get(self.path, self._no_route))
 
     def do_DELETE(self) -> None:
+        self._close_if_body()
         on_intent = self.path.startswith("/intents/")
         self._serve(self._delete_intent if on_intent else self._no_route)
 

@@ -6,12 +6,12 @@ with their reverse companion, so the graph is always bidirectional.
 """
 from __future__ import annotations
 
-import hashlib
+import functools
 import heapq
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -31,12 +31,71 @@ def device_id(n: int) -> str:
     return "of:%016x" % n
 
 
-@dataclass(frozen=True, order=True)
-class ConnectPoint:
-    """A (device, port) pair; the string form is '<deviceId>/<port>'."""
+class Record:
+    """Base of the model's value classes, which name their fields in
+    `_fields`: an instance equals another of the same class whose fields are
+    equal, and shows as `Name(field=value, ...)`.  Mutable, so unhashable."""
 
-    device: str
-    port: int
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls._fields:  # the fields' values, read in C (one field: its value)
+            cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record whose fields are set once, by `object.__setattr__` in its
+    `__init__`, so it hashes by its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+@functools.total_ordering
+class ConnectPoint(FrozenRecord):
+    """A (device, port) pair; the string form is '<deviceId>/<port>'.
+    Points sort by device, then port."""
+
+    __slots__ = _fields = ("device", "port")
+
+    def __init__(self, device: str, port: int) -> None:
+        object.__setattr__(self, "device", device)
+        object.__setattr__(self, "port", port)
+
+    # written out, not inherited: points are the hot set and dict keys
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is ConnectPoint:
+            return self.device == other.device and self.port == other.port
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.device, self.port))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is ConnectPoint:
+            return (self.device, self.port) < (other.device, other.port)
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"{self.device}/{self.port}"
@@ -54,26 +113,28 @@ class ConnectPoint:
         return cls(device, int(port))
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(FrozenRecord):
     """One direction of a bidirectional link; weight is a positive cost."""
 
-    src: ConnectPoint
-    dst: ConnectPoint
-    weight: float = 1.0
+    __slots__ = _fields = ("src", "dst", "weight")
+
+    def __init__(self, src: ConnectPoint, dst: ConnectPoint, weight: float = 1.0) -> None:
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "weight", weight)
 
     def reversed(self) -> "Link":
         return Link(self.dst, self.src, self.weight)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(FrozenRecord):
     """A chain of links; empty when source and destination coincide."""
 
-    links: tuple[Link, ...] = ()
+    __slots__ = _fields = ("links",)
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.links, self.links[1:]):
+    def __init__(self, links: tuple[Link, ...] = ()) -> None:
+        object.__setattr__(self, "links", links)
+        for a, b in zip(links, links[1:]):
             if a.dst.device != b.src.device:
                 raise ValueError(f"links do not chain: {a} then {b}")
         seen = set()
@@ -257,7 +318,7 @@ def load_topology(document) -> Topology:
         except (KeyError, TypeError, ValueError) as exc:
             raise TopologyValidationError(f"bad link entry {entry!r}: {exc}") from None
         weight = entry.get("weight", 1.0)
-        if not isinstance(weight, (int, float)):
+        if not isinstance(weight, (int, float)) or isinstance(weight, bool):
             raise TopologyValidationError(f"bad weight on link {entry['src']}")
         links.append(Link(src, dst, float(weight)))
 
@@ -310,6 +371,8 @@ def host_mac(host: str) -> str:
     lowered = host.lower()
     if MAC_RE.match(lowered):
         return lowered
+    import hashlib  # here, not at the top: only hashed ids need OpenSSL loaded
+
     digest = hashlib.sha256(host.encode("utf-8")).digest()[:5]
     return "02:" + ":".join("%02x" % b for b in digest)
 

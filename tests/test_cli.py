@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import intentd
 from intentd.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
@@ -21,6 +22,18 @@ from intentd.cli import (
 from intentd.intents import Controller, PointToPoint
 from intentd.topology import ConnectPoint, Topology, device_id, serialize_topology
 from conftest import CHAIN3_DOCUMENT, D1, D2, D3
+
+
+# A fresh interpreter runs one add command, then names the modules it loaded
+# that the add path leaves out; only a host-to-host add hashes, so loads hashlib.
+ADD_PATH_SCRIPT = """
+import sys
+before = set(sys.modules)
+from intentd.cli import main
+main(["add-point-to-point-intent", "of:0000000000000001/1", "of:0000000000000005/2",
+      "--output", "json"])
+print(sorted({"dataclasses", "inspect", "hashlib", "_hashlib"} & (set(sys.modules) - before)))
+"""
 
 
 def parse(argv):
@@ -256,6 +269,20 @@ class TestMainEndToEnd:
         assert code == EXIT_USAGE
         assert err.startswith("error: ")
         assert "workload=" not in out
+
+    def test_add_path_leaves_out_dataclasses_inspect_and_hashlib(self):
+        src = os.path.dirname(os.path.dirname(intentd.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", ADD_PATH_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout.splitlines()
+        assert json.loads(out[0])["installed"] == 1
+        assert out[-1] == "[]"
 
     def test_console_script_help(self):
         proc = subprocess.run(

@@ -304,6 +304,41 @@ class TestWithdrawRoute:
         assert reply.endswith(b'{"intents_live": 0, "rules_installed": 0}')
 
 
+class TestUnreadBody:
+    """A body the server does not read must never be parsed as the next
+    request: the reply closes the connection instead."""
+
+    @pytest.mark.parametrize(
+        "method, path, status",
+        [("GET", b"/health", 200), ("DELETE", b"/intents/1", 204)],
+        ids=["get", "delete"],
+    )
+    def test_reply_then_a_clean_close(self, rest, method, path, status):
+        _, client = rest
+        client.post_intent(p2p_doc())
+        head = method.encode("ascii") + b" " + path + b" HTTP/1.1\r\nHost: x\r\n"
+        first = head + b"Content-Length: 11\r\n\r\nGET /nope ?"
+        second = b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+        reply = exchange(client, first + second)
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert b"connection: close" in reply.lower()
+        assert reply.count(b"HTTP/1.") == 1
+        assert b"400" not in reply
+
+    def test_chunked_post_is_refused_and_closes(self, rest):
+        ctrl, client = rest
+        body = json.dumps(p2p_doc()).encode("ascii")
+        first = (
+            b"POST /intents HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"
+        )
+        reply = exchange(client, first + b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Transfer-Encoding" in reply
+        assert reply.count(b"HTTP/1.") == 1
+        assert ctrl.live_intents() == 0
+
+
 class FailingController(Controller):
     """A controller whose submit fails in a way no route expects."""
 

@@ -160,6 +160,14 @@ class TestLoading:
         with pytest.raises(TopologyValidationError):
             load_topology(doc)
 
+    def test_boolean_weight_rejected(self):
+        doc = {
+            "devices": [{"id": D1, "ports": [1]}, {"id": D2, "ports": [1]}],
+            "links": [{"src": f"{D1}/1", "dst": f"{D2}/1", "weight": True}],
+        }
+        with pytest.raises(TopologyValidationError, match="weight"):
+            load_topology(doc)
+
 
 class TestEdgePorts:
     def test_partition(self, chain3):
@@ -201,6 +209,11 @@ class TestHostMac:
         assert mac.startswith("02:")
         assert mac == host_mac("h1")
         assert mac != host_mac("h2")
+
+    def test_hashed_macs_are_pinned(self):
+        # the host-to-host legs' selectors carry these; they must not drift
+        assert host_mac("h1") == "02:33:11:2e:e1:4e"
+        assert host_mac("h2") == "02:f9:98:fe:06:af"
 
 
 class TestShortestPath:
