@@ -13,15 +13,13 @@ import os
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 from .cli import load_cli_topology, timed_add
-from .errors import StoreCapacityError, UnreachableEndpointError
 from .intents import (
     Controller,
     IntentRequest,
-    IntentState,
     MultiToSinglePoint,
     PointToPoint,
     SingleToMultiPoint,
@@ -35,30 +33,23 @@ INTENT_TYPES = ("P2P", "S2M", "M2S")
 INTERFACES = ("CLI", "REST")
 
 DESK_WORKLOADS = (100, 200, 300, 400, 500, 1000, 1500, 2000)
-PAPER_WORKLOADS = (1000, 2000, 3000, 4000, 5000, 10000, 15000, 20000)
-
-PROFILES: dict[str, dict] = {
-    "desk": {"workloads": DESK_WORKLOADS, "iterations": 10, "capacity": 10_000},
-    "paper": {"workloads": PAPER_WORKLOADS, "iterations": 50, "capacity": 500_000},
-}
 
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
+    """One benchmark run's settings; these defaults are the desk sweep's."""
+
     intent_types: tuple[str, ...] = INTENT_TYPES
     interfaces: tuple[str, ...] = INTERFACES
     workloads: tuple[int, ...] = DESK_WORKLOADS
     iterations: int = 10
     saturation_iterations: int = 10
-    capacity: int = 500_000
+    capacity: int = 10_000
     topology: str | None = None
     seed: int = 0
     output_dir: str = "bench-out"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "intent_types", tuple(self.intent_types))
-        object.__setattr__(self, "interfaces", tuple(self.interfaces))
-        object.__setattr__(self, "workloads", tuple(self.workloads))
         for t in self.intent_types:
             if t not in INTENT_TYPES:
                 raise ValueError(f"unknown intent type {t!r}")
@@ -75,8 +66,8 @@ class BenchmarkConfig:
             raise ValueError("iterations must be >= 2")
         if self.saturation_iterations < 0:
             raise ValueError("saturation_iterations must be >= 0")
-        if self.capacity < 0:
-            raise ValueError("capacity must be >= 0")
+        if self.capacity < 1:
+            raise ValueError("capacity must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -246,11 +237,6 @@ class BenchRunner:
     def _rest_workload(self, request: IntentRequest, workload: int) -> tuple[float, int, int]:
         """Client-side end-to-end timing of one POST per intent."""
         client = self._ensure_rest()
-        status, _ = client.health()
-        if status != 200:
-            raise UnreachableEndpointError(
-                f"health check against {self._server.endpoint} returned {status}"
-            )
         body = json.dumps(request_document(request)).encode("utf-8")
         installed = 0
         failed = 0
@@ -267,7 +253,12 @@ class BenchRunner:
         return elapsed_ms, installed, failed
 
     def run_saturation(self, intent_type: str) -> list[SaturationResult]:
-        """Fill a finite-capacity store until submission fails, repeatedly."""
+        """Fill a finite-capacity store until it refuses a submit, repeatedly.
+
+        `max_intents` counts the submits that installed; a request that
+        cannot install holds no capacity, so it stops after capacity + 1
+        failed submits with a maximum of 0.
+        """
         results = []
         request = _pick_request(
             self.topology, intent_type, _cell_rng(self.config.seed, "saturation", intent_type)
@@ -276,24 +267,15 @@ class BenchRunner:
         for run_index in range(self.config.saturation_iterations):
             controller.reset()
             gc.collect()
-            installed = 0
+            # one submit past capacity, so the loop ends on the refusal
             with _collector_paused():
-                start = time.perf_counter_ns()
-                while True:
-                    try:
-                        intent_id = controller.submit(request)
-                    except StoreCapacityError:
-                        break
-                    if controller.get(intent_id).state is not IntentState.INSTALLED:
-                        break
-                    installed += 1
-                elapsed_ms = (time.perf_counter_ns() - start) / 1e6
+                timed = timed_add(controller, request, self.config.capacity + 1)
             results.append(
                 SaturationResult(
                     intent_type=intent_type,
                     run_index=run_index,
-                    max_intents=installed,
-                    elapsed_ms=elapsed_ms,
+                    max_intents=timed.installed,
+                    elapsed_ms=timed.elapsed_ms,
                 )
             )
         return results
@@ -480,29 +462,10 @@ def emit_report(results: BenchResults, config: BenchmarkConfig) -> list[str]:
 # -- CLI glue ---------------------------------------------------------------
 
 
-def _parse_list(text: str, cast=str) -> tuple:
-    return tuple(cast(item.strip()) for item in text.split(",") if item.strip())
-
-
 def config_from_args(args) -> BenchmarkConfig:
-    """The profile's defaults, overridden by the CLI flags."""
-    values: dict = dict(PROFILES[args.profile])
-    if args.types:
-        values["intent_types"] = _parse_list(args.types)
-    if args.interfaces:
-        values["interfaces"] = _parse_list(args.interfaces)
-    if args.workloads:
-        values["workloads"] = _parse_list(args.workloads, int)
-    if args.iterations is not None:
-        values["iterations"] = args.iterations
-    if args.saturation is not None:
-        values["saturation_iterations"] = args.saturation
-    if args.capacity is not None:
-        values["capacity"] = args.capacity
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.out:
-        values["output_dir"] = args.out
-    if args.topology:
-        values["topology"] = args.topology
-    return BenchmarkConfig(**values)
+    """BenchmarkConfig's defaults, overridden by the flags that were given."""
+    return BenchmarkConfig(**{
+        f.name: getattr(args, f.name)
+        for f in fields(BenchmarkConfig)
+        if getattr(args, f.name) is not None
+    })

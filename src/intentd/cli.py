@@ -108,6 +108,17 @@ def _port(text: str) -> int:
     return value
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+def _counts(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(item) for item in _names(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+
+
 def _connect_point(text: str) -> ConnectPoint:
     try:
         return ConnectPoint.parse(text)
@@ -176,17 +187,20 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", parents=[common], help="run the installation-time benchmark"
     )
-    bench.add_argument("--profile", choices=("desk", "paper"), default="desk")
-    bench.add_argument("--types", metavar="LIST", help="comma list from P2P,S2M,M2S")
-    bench.add_argument("--interfaces", metavar="LIST", help="comma list from CLI,REST")
-    bench.add_argument("--workloads", metavar="LIST", help="comma list of intent counts")
+    # each dest is a BenchmarkConfig field; a flag left unset keeps its default
+    bench.add_argument("--types", dest="intent_types", type=_names, metavar="LIST",
+                       help="comma list from P2P,S2M,M2S")
+    bench.add_argument("--interfaces", type=_names, metavar="LIST",
+                       help="comma list from CLI,REST")
+    bench.add_argument("--workloads", type=_counts, metavar="LIST",
+                       help="comma list of intent counts")
     bench.add_argument("--iterations", type=_positive_int)
-    bench.add_argument("--saturation", type=int, metavar="N",
+    bench.add_argument("--saturation", dest="saturation_iterations", type=int, metavar="N",
                        help="saturation runs per type (0 skips the phase)")
     bench.add_argument("--capacity", type=_positive_int,
                        help="store capacity for the saturation phase")
     bench.add_argument("--seed", type=int)
-    bench.add_argument("--out", metavar="DIR", help="report directory")
+    bench.add_argument("--out", dest="output_dir", metavar="DIR", help="report directory")
     return parser
 
 

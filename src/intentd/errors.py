@@ -67,4 +67,4 @@ class RequestSchemaError(IntentdError, ValueError):
 
 
 class UnreachableEndpointError(IntentdError):
-    """A REST client could not reach its server, or the server was not healthy."""
+    """A REST client got no reply from its server; the request is not sent again."""

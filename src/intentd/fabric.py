@@ -53,9 +53,6 @@ class TrafficSelector(FrozenRecord):
         object.__setattr__(self, "eth_dst", _check_mac(eth_dst, "eth_dst"))
         object.__setattr__(self, "vlan", _check_vlan(vlan))
 
-    def is_empty(self) -> bool:
-        return self.eth_src is None and self.eth_dst is None and self.vlan is None
-
 
 class TrafficTreatment(FrozenRecord):
     """Forwarding actions: copy the packet out of every listed port."""
@@ -123,17 +120,6 @@ class FlowRule(Record):
         self.in_port = in_port
         self.packet_count = packet_count
         self.match_key = (in_port, selector.eth_src, selector.eth_dst, selector.vlan)
-
-    def matches(self, in_port: int, header: PacketHeader) -> bool:
-        """True when every set field equals the packet's; the linear
-        reference that `FlowTable.match` is tested against."""
-        sel = self.selector
-        return (
-            (self.in_port is None or self.in_port == in_port)
-            and (sel.eth_src is None or sel.eth_src == header.eth_src)
-            and (sel.eth_dst is None or sel.eth_dst == header.eth_dst)
-            and (sel.vlan is None or sel.vlan == header.vlan)
-        )
 
 
 class DeliveryReport(FrozenRecord):

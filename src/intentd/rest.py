@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, NoReturn
@@ -24,8 +23,6 @@ from .errors import (
 )
 from .intents import Controller, IntentState, intent_document, parse_intent_document
 
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8181
 # a request announcing a longer body is refused with 413 before any of it is read
 MAX_BODY_BYTES = 1 << 20
 # a larger /intents/batch count is a 400, so one request cannot hold a handler
@@ -215,12 +212,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
 class RestServer:
     """Threaded HTTP server wrapper; bind with port 0 for an ephemeral port."""
 
-    def __init__(
-        self,
-        controller: Controller,
-        host: str = DEFAULT_HOST,
-        port: int = DEFAULT_PORT,
-    ) -> None:
+    def __init__(self, controller: Controller, host: str, port: int) -> None:
         self._server = ThreadingHTTPServer((host, port), _ApiHandler)
         self._server.daemon_threads = True
         self._server.controller = controller  # type: ignore[attr-defined]
@@ -284,23 +276,17 @@ class RestClient:
         if isinstance(body, dict):
             body = json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"} if body else {}
-        for attempt in (1, 2):
-            conn = self._connection()
-            try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-                break
-            except (http.client.HTTPException, BrokenPipeError, ConnectionResetError):
-                # stale keep-alive connection; reconnect once
-                self.close()
-                if attempt == 2:
-                    raise
-            except (ConnectionRefusedError, socket.timeout, OSError) as exc:
-                self.close()
-                raise UnreachableEndpointError(
-                    f"cannot reach http://{self.host}:{self.port}: {exc}"
-                ) from None
+        conn = self._connection()
+        try:
+            conn.request(method, path, body=body, headers=headers)
+            response = conn.getresponse()
+            raw = response.read()
+        except (http.client.HTTPException, OSError) as exc:
+            # never sent again: the server may already have applied it
+            self.close()
+            raise UnreachableEndpointError(
+                f"no reply from http://{self.host}:{self.port}: {exc}"
+            ) from None
         parsed = json.loads(raw) if raw else None
         return response.status, parsed
 

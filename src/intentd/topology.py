@@ -148,10 +148,6 @@ class Path(FrozenRecord):
             return ()
         return (self.links[0].src.device,) + tuple(l.dst.device for l in self.links)
 
-    @property
-    def cost(self) -> float:
-        return sum(l.weight for l in self.links)
-
     def __len__(self) -> int:
         return len(self.links)
 
@@ -201,13 +197,13 @@ class Topology:
         self._links: tuple[Link, ...] = tuple(
             sorted(expanded, key=lambda l: (l.src, l.dst))
         )
-        self._link_from: dict[ConnectPoint, Link] = {l.src: l for l in self._links}
+        self._link_srcs = frozenset(l.src for l in self._links)
 
         self._hosts: dict[str, ConnectPoint] = {}
         for host, attach in dict(hosts).items():
             if attach.device not in self._ports or attach.port not in self._ports[attach.device]:
                 raise TopologyValidationError(f"host {host} attaches to unknown point {attach}")
-            if attach in self._link_from:
+            if attach in self._link_srcs:
                 raise TopologyValidationError(
                     f"host {host} attaches to infrastructure port {attach}"
                 )
@@ -254,19 +250,12 @@ class Topology:
     def has_connect_point(self, cp: ConnectPoint) -> bool:
         return cp.device in self._ports and cp.port in self._ports[cp.device]
 
-    def link_from(self, cp: ConnectPoint) -> Link | None:
-        """The link leaving this point, or None when it is an edge port."""
-        return self._link_from.get(cp)
-
-    def is_edge_point(self, cp: ConnectPoint) -> bool:
-        return self.has_connect_point(cp) and cp not in self._link_from
-
     def edge_points(self) -> tuple[ConnectPoint, ...]:
         out = []
         for dev in sorted(self._ports):
             for port in sorted(self._ports[dev]):
                 cp = ConnectPoint(dev, port)
-                if cp not in self._link_from:
+                if cp not in self._link_srcs:
                     out.append(cp)
         return tuple(out)
 

@@ -12,7 +12,6 @@ from intentd.bench import (
     BenchmarkConfig,
     BenchRunner,
     DESK_WORKLOADS,
-    PAPER_WORKLOADS,
     _cell_rng,
     _pick_request,
     config_from_args,
@@ -42,7 +41,6 @@ class TestConfigValidation:
 
     def test_profile_workloads_are_increasing(self):
         assert list(DESK_WORKLOADS) == sorted(set(DESK_WORKLOADS))
-        assert list(PAPER_WORKLOADS) == sorted(set(PAPER_WORKLOADS))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -55,6 +53,7 @@ class TestConfigValidation:
             {"workloads": (10, 5)},
             {"iterations": 1},
             {"saturation_iterations": -1},
+            {"capacity": 0},
         ],
     )
     def test_rejected(self, overrides):
@@ -287,16 +286,20 @@ class TestConfigFromArgs:
         return build_parser().parse_args(["bench", *extra])
 
     def test_desk_profile_defaults(self):
+        # BenchmarkConfig holds the only defaults: a bare command adds none
         config = config_from_args(self.parse_bench())
+        assert config == BenchmarkConfig()
         assert config.workloads == DESK_WORKLOADS
         assert config.iterations == 10
         assert config.capacity == 10_000
 
-    def test_paper_profile(self):
-        config = config_from_args(self.parse_bench("--profile", "paper"))
-        assert config.workloads == PAPER_WORKLOADS
-        assert config.iterations == 50
-        assert config.capacity == 500_000
+    @pytest.mark.parametrize(
+        "flags", [("--profile", "paper"), ("--workloads", "30,x")]
+    )
+    def test_unknown_flag_or_bad_list_exits_2(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            self.parse_bench(*flags)
+        assert exc.value.code == 2
 
     def test_flags_override_profile(self):
         config = config_from_args(
@@ -307,6 +310,9 @@ class TestConfigFromArgs:
                 "--iterations", "4",
                 "--saturation", "0",
                 "--seed", "99",
+                "--capacity", "50",
+                "--out", "elsewhere",
+                "--topology", "net.json",
             )
         )
         assert config.intent_types == ("P2P", "M2S")
@@ -315,6 +321,9 @@ class TestConfigFromArgs:
         assert config.iterations == 4
         assert config.saturation_iterations == 0
         assert config.seed == 99
+        assert config.capacity == 50
+        assert config.output_dir == "elsewhere"
+        assert config.topology == "net.json"
 
     def test_bad_workload_list_rejected(self):
         with pytest.raises(ValueError):

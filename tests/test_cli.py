@@ -1,6 +1,8 @@
 """Command-line verbs, exit codes, the timed submission loop, and the demo script."""
 import json
 import os
+import re
+import shlex
 import socket
 import subprocess
 import sys
@@ -353,3 +355,22 @@ class TestDemoScript:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines()[-1].strip() == "live intents=0 fabric rules=0"
+
+
+def readme_commands():
+    """Every `intentd ...` command line in README.md's shell blocks."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("intentd ")]
+
+
+class TestReadmeCommands:
+    def test_readme_shows_commands(self):
+        assert len(readme_commands()) >= 8
+
+    @pytest.mark.parametrize("line", readme_commands())
+    def test_every_readme_command_parses(self, line):
+        # a flag deleted from the parser must not linger in the docs
+        parse(shlex.split(line, comments=True)[1:])

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from intentd.errors import UnreachableEndpointError
 from intentd.intents import Controller
 from intentd.rest import (
     MAX_BATCH_COUNT,
@@ -370,6 +371,45 @@ class TestUnexpectedErrors:
         finally:
             client.close()
             server.stop()
+
+
+class TestClientSendsOnce:
+    def test_post_without_a_reply_is_not_sent_again(self):
+        # a server that reads each request line and hangs up without answering;
+        # it may already have applied the POST, so the client must not resend
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.05)
+        received = []
+        stop = threading.Event()
+
+        def serve():
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                with conn:
+                    conn.settimeout(5)
+                    data = b""
+                    while b"\r\n" not in data:
+                        chunk = conn.recv(4096)
+                        if not chunk:
+                            break
+                        data += chunk
+                    received.append(data.split(b"\r\n", 1)[0])
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        client = RestClient(*listener.getsockname()[:2])
+        try:
+            with pytest.raises(UnreachableEndpointError):
+                client.post_intent(p2p_doc())
+        finally:
+            client.close()
+            stop.set()
+            thread.join(timeout=5)
+            listener.close()
+        assert received == [b"POST /intents HTTP/1.1"]
 
 
 class TestBatchRoute:
