@@ -10,21 +10,16 @@ from __future__ import annotations
 import gc
 import json
 import os
+import platform
 import random
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 from .cli import load_cli_topology, timed_add
-from .intents import (
-    Controller,
-    IntentRequest,
-    MultiToSinglePoint,
-    PointToPoint,
-    SingleToMultiPoint,
-    request_document,
-)
+from .intents import REQUEST_TYPES, Controller, FieldKind, IntentRequest, request_document
 from .rest import RestClient, RestServer
 from .stats import LinearFit, SummaryStats, fit_linear, summarize
 from .topology import Topology
@@ -50,12 +45,10 @@ class BenchmarkConfig:
     output_dir: str = "bench-out"
 
     def __post_init__(self) -> None:
-        for t in self.intent_types:
-            if t not in INTENT_TYPES:
-                raise ValueError(f"unknown intent type {t!r}")
-        for i in self.interfaces:
-            if i not in INTERFACES:
-                raise ValueError(f"unknown interface {i!r}")
+        for name, known in (("intent_types", INTENT_TYPES), ("interfaces", INTERFACES)):
+            chosen = getattr(self, name)
+            if not chosen or len(set(chosen)) < len(chosen) or not set(chosen) <= set(known):
+                raise ValueError(f"{name} must list distinct values from {known}, got {chosen}")
         if not self.workloads:
             raise ValueError("workloads must not be empty")
         if any(b <= a for a, b in zip(self.workloads, self.workloads[1:])):
@@ -133,26 +126,28 @@ def _cell_rng(seed: int, *key) -> random.Random:
 
 
 def _pick_request(topo: Topology, intent_type: str, rng: random.Random) -> IntentRequest:
-    """A fixed request for one cell, drawn from the topology's edge ports."""
-    points = list(topo.edge_points())
+    """A fixed request for one cell: in field order, one device per point field
+    and two per point set, all from one sample of the devices with edge ports,
+    then one edge port on each device."""
     by_device: dict[str, list] = {}
-    for cp in points:
+    for cp in topo.edge_points():
         by_device.setdefault(cp.device, []).append(cp)
-    devices = sorted(by_device)
-    if intent_type == "P2P":
-        src_dev, dst_dev = rng.sample(devices, 2)
-        return PointToPoint(rng.choice(by_device[src_dev]), rng.choice(by_device[dst_dev]))
-    if intent_type == "S2M":
-        src_dev, a_dev, b_dev = rng.sample(devices, 3)
-        return SingleToMultiPoint(
-            rng.choice(by_device[src_dev]),
-            frozenset((rng.choice(by_device[a_dev]), rng.choice(by_device[b_dev]))),
-        )
-    a_dev, b_dev, dst_dev = rng.sample(devices, 3)
-    return MultiToSinglePoint(
-        frozenset((rng.choice(by_device[a_dev]), rng.choice(by_device[b_dev]))),
-        rng.choice(by_device[dst_dev]),
-    )
+    cls, fields = REQUEST_TYPES[intent_type]
+    pairs = [kind is FieldKind.POINT_SET for kind in fields.values()]
+    devices = rng.sample(sorted(by_device), len(pairs) + sum(pairs))
+    points = iter([rng.choice(by_device[device]) for device in devices])
+    return cls(*(
+        frozenset((next(points), next(points))) if pair else next(points) for pair in pairs
+    ))
+
+
+def _cpu_ticks() -> tuple[int, ...]:
+    """The host's `cpu` ticks in /proc/stat, user to steal; empty if unreadable."""
+    try:
+        with open("/proc/stat", encoding="ascii") as fh:
+            return tuple(map(int, fh.readline().split()[1:9]))
+    except (OSError, ValueError):
+        return ()
 
 
 class BenchRunner:
@@ -346,6 +341,7 @@ class BenchRunner:
 
     def run(self, verbose: bool = False) -> BenchResults:
         started = time.time()
+        start_ticks = _cpu_ticks()
         results = self.run_sweep(verbose=verbose)
         if self.config.saturation_iterations > 0:
             for intent_type in self.config.intent_types:
@@ -354,6 +350,8 @@ class BenchRunner:
                     runs = results.saturation[intent_type]
                     mean_max = sum(r.max_intents for r in runs) / len(runs)
                     print(f"{intent_type} saturation: mean max_intents={mean_max:.1f}")
+        spent = [end - start for start, end in zip(start_ticks, _cpu_ticks())]
+        steal_pct = 100 * spent[7] / sum(spent) if len(spent) == 8 and any(spent) else None
         results.metadata = {
             "config": asdict(self.config),
             "clock": "perf_counter_ns",
@@ -369,6 +367,11 @@ class BenchRunner:
             "units": "milliseconds",
             "started_unix": started,
             "finished_unix": time.time(),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            "cpu_count": os.cpu_count(),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "host_steal_pct": steal_pct,
         }
         return results
 

@@ -318,6 +318,9 @@ class Fabric:
                 raise ValueError(
                     f"rule {rule.rule_id} outputs to missing port {device}/{port}"
                 )
+            in_port = rule.in_port
+            if in_port is not None and in_port not in ports:
+                raise ValueError(f"rule {rule.rule_id} matches missing port {device}/{in_port}")
             key = (device, rule.priority, match_key, rule.owner_intent)
             if key in keys:
                 raise DuplicateRuleError(

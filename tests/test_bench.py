@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from intentd.bench import (
     emit_report,
 )
 from intentd.cli import build_parser
+from intentd.intents import request_document
 from intentd.topology import default_topology
 
 
@@ -54,6 +56,10 @@ class TestConfigValidation:
             {"iterations": 1},
             {"saturation_iterations": -1},
             {"capacity": 0},
+            {"intent_types": ()},
+            {"intent_types": ("P2P", "P2P")},
+            {"interfaces": ()},
+            {"interfaces": ("CLI", "REST", "CLI")},
         ],
     )
     def test_rejected(self, overrides):
@@ -73,6 +79,23 @@ class TestRequestPicking:
         for intent_type in ("P2P", "S2M", "M2S"):
             request = _pick_request(topo, intent_type, _cell_rng(0, intent_type, 1))
             assert request.type_name == intent_type
+
+    def test_default_cells_draw_pinned_requests(self):
+        # the desk sweep's requests; a change to how they are drawn moves
+        # every published number
+        picks = {
+            t: request_document(_pick_request(default_topology(), t, _cell_rng(0, t)))
+            for t in ("P2P", "S2M", "M2S")
+        }
+        assert picks == {
+            "P2P": {"type": "P2P", "ingress": "of:0000000000000004/4",
+                    "egress": "of:0000000000000001/3"},
+            "S2M": {"type": "S2M", "ingress": "of:0000000000000002/3",
+                    "egresses": ["of:0000000000000003/4", "of:0000000000000005/4"]},
+            "M2S": {"type": "M2S",
+                    "ingresses": ["of:0000000000000003/3", "of:0000000000000004/3"],
+                    "egress": "of:0000000000000005/3"},
+        }
 
     def test_seed_changes_pick(self):
         topo = default_topology()
@@ -203,6 +226,17 @@ class TestMetadata:
         assert tuple(meta["config"]["workloads"]) == (2, 4, 6)
         assert meta["finished_unix"] >= meta["started_unix"]
 
+    def test_records_where_the_sweep_ran(self):
+        with BenchRunner(tiny_config()) as runner:
+            meta = runner.run().metadata
+        assert meta["python"] == platform.python_version()
+        assert meta["platform"] == platform.platform()
+        assert meta["cpu_count"] == os.cpu_count()
+        assert meta["peak_rss_mb"] > 1
+        steal = meta["host_steal_pct"]
+        assert steal is None or 0 <= steal <= 100
+        assert "commit" not in meta
+
 
 class TestReport:
     def run_tiny(self, tmp_path, **overrides):
@@ -328,6 +362,14 @@ class TestConfigFromArgs:
     def test_bad_workload_list_rejected(self):
         with pytest.raises(ValueError):
             config_from_args(self.parse_bench("--workloads", "30,20"))
+
+    def test_empty_type_list_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        from intentd.cli import main
+
+        out = tmp_path / "out"
+        assert main(["bench", "--types", "", "--out", str(out)]) == 2
+        assert "intent_types" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_command_ends_with_fits_and_ratios(self, tmp_path, capsys):
         from intentd.cli import main

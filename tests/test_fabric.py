@@ -163,7 +163,7 @@ class TestInstall:
     @pytest.mark.parametrize(
         "reuse",
         [
-            lambda: rule(D1, 3, 2, owner=2, rule_id=5),  # another selector and owner
+            lambda: rule(D1, 2, 1, owner=2, rule_id=5),  # another selector and owner
             lambda: rule(D1, 1, 2, priority=500, owner=1, rule_id=5),  # new priority
             lambda: rule(D2, 1, 2, owner=1, rule_id=5),  # another device
         ],
@@ -201,13 +201,18 @@ class TestInstall:
              ValueError, "rule 40 has an empty selector"),
             (lambda: [rule(D1, 1, (2, 9), rule_id=41)], ValueError,
              f"rule 41 outputs to missing port {D1}/9"),
+            # the arrival port is checked like the outputs, and the valid
+            # rule ahead of it in the batch is not installed either
+            (lambda: [rule(D2, 1, 2),
+                      FlowRule(43, D1, TrafficSelector(), TrafficTreatment((2,)), 7, in_port=99)],
+             ValueError, f"rule 43 matches missing port {D1}/99"),
             (lambda: [rule(D1, 1, 2, priority=7), rule(D1, 1, 2, priority=7)],
              DuplicateRuleError, f"duplicate rule on {D1} (priority 7)"),
             (lambda: [rule(D1, 1, 2, rule_id=42), rule(D2, 1, 2, rule_id=42)],
              DuplicateRuleError, "rule id 42 is already in use"),
         ],
-        ids=["unknown-device", "empty-selector", "missing-port", "duplicate-key",
-             "duplicate-id"],
+        ids=["unknown-device", "empty-selector", "missing-port", "missing-in-port",
+             "duplicate-key", "duplicate-id"],
     )
     def test_rejections_of_external_rules(self, chain3, batch, error, message):
         fabric = Fabric(chain3)

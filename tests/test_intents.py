@@ -112,6 +112,39 @@ class TestValidation:
         with pytest.raises(IntentValidationError):
             controller.submit(HostToHost("h1", "h1"))
 
+    @pytest.mark.parametrize(
+        "request_, message",
+        [
+            (PointToPoint(CP(device_id(99), 1), CP(D3, 2)),
+             f"unknown connect point {device_id(99)}/1"),
+            (SingleToMultiPoint(CP(D1, 1), frozenset({CP(D3, 2), CP(D3, 9)})),
+             f"unknown connect point {D3}/9"),
+            (MultiToSinglePoint(frozenset({CP(D1, 1), CP(D1, 9)}), CP(D3, 2)),
+             f"unknown connect point {D1}/9"),
+            # of two unknown members, the least is named whatever the set order
+            (SingleToMultiPoint(CP(D1, 1), frozenset({CP(device_id(99), 1), CP(device_id(98), 1)})),
+             f"unknown connect point {device_id(98)}/1"),
+            (HostToHost("h1", "nobody"), "unknown host nobody"),
+            (SingleToMultiPoint(CP(D1, 1), frozenset()), "egresses must not be empty"),
+            (MultiToSinglePoint(frozenset(), CP(D3, 2)), "ingresses must not be empty"),
+            (PointToPoint(CP(D1, 1), CP(D1, 1)), f"{D1}/1 is named twice"),
+            (SingleToMultiPoint(CP(D1, 1), frozenset({CP(D1, 1), CP(D3, 2)})),
+             f"{D1}/1 is named twice"),
+            (MultiToSinglePoint(frozenset({CP(D1, 1), CP(D2, 1)}), CP(D2, 1)),
+             f"{D2}/1 is named twice"),
+            (HostToHost("h2", "h2"), "h2 is named twice"),
+            (object(), "unsupported request type object"),
+        ],
+        ids=["p2p-unknown", "s2m-unknown-member", "m2s-unknown-member",
+             "s2m-least-unknown-member", "h2h-unknown", "s2m-empty", "m2s-empty",
+             "p2p-repeat", "s2m-repeat", "m2s-repeat", "h2h-repeat", "not-a-request"],
+    )
+    def test_one_rule_for_every_type(self, controller, request_, message):
+        with pytest.raises(IntentValidationError) as caught:
+            controller.submit(request_)
+        assert str(caught.value) == message
+        assert controller.list() == []
+
     def test_validation_failure_stores_nothing(self, controller):
         with pytest.raises(IntentValidationError):
             controller.submit(PointToPoint(CP(D1, 1), CP(D1, 1)))

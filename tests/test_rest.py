@@ -197,8 +197,9 @@ def long_integer_doc(field: str) -> bytes:
 
 
 class TestMalformedRequests:
-    """Requests that once made the handler raise and drop the connection, or
-    that reached an intent through a zero-padded id."""
+    """Requests that once made the handler raise and drop the connection,
+    that reached an intent through a zero-padded id, or that name one
+    endpoint twice."""
 
     @pytest.mark.parametrize(
         "request_bytes, status",
@@ -218,10 +219,15 @@ class TestMalformedRequests:
             # json.loads refuses an integer of more than 4300 digits
             (raw_request("POST", b"/intents", long_integer_doc("priority")), 400),
             (raw_request("POST", b"/intents/batch", long_integer_doc("count")), 400),
+            # well formed, but it names its ingress again among the egresses
+            (raw_request("POST", b"/intents", json.dumps(
+                {"type": "S2M", "ingress": f"{D1}/1", "egresses": [f"{D3}/2", f"{D1}/1"]}
+            ).encode()), 422),
         ],
         ids=["deep-nesting", "not-utf8", "get-long-id", "delete-long-id",
              "get-superscript-id", "delete-superscript-id", "get-zero-padded-id",
-             "delete-zero-padded-id", "long-length", "long-priority", "long-count"],
+             "delete-zero-padded-id", "long-length", "long-priority", "long-count",
+             "s2m-ingress-among-egresses"],
     )
     def test_answered_with_a_status_line(self, rest, request_bytes, status):
         _, client = rest
