@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Record alternating parent/change benchmark runs in one BENCH_<n>.json.
+
+    scripts/record_bench.py --parent <checkout> --pairs 10 --seconds 30 --seed 1 --out BENCH_14.json
+
+The change side is the checkout that holds this script; the parent side is
+another checkout, typically of the commit before.  For every workload that
+BENCHMARK.json names, each pair runs
+
+    python3 perfbench/run.py --workload <w> --seed <k> --seconds <s> --trace 0
+
+from the root of one side and then of the other, the parent first in even
+pairs, and reads each run's full record from that side's perfbench/out/.
+After the pairs, one traced pair (`--trace 1`) per workload records the
+per-layer split.  The file holds, per workload and metric, every run of
+each side, each side's median and quartiles, and the pairs the change won,
+plus the commit and source digest of each side, nproc, the Python version
+and the host's steal time from /proc/stat over the whole recording.
+Only the standard library is used.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="root of the parent side's checkout")
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--out", required=True, help="the JSON file to write")
+    args = p.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0:
+        p.error("--pairs must be >= 1 and --seconds > 0")
+    if not os.path.isfile(os.path.join(args.parent, "perfbench", "run.py")):
+        p.error(f"--parent {args.parent} has no perfbench/run.py")
+    return args
+
+
+def cpu_ticks() -> list[int]:
+    """The host's `cpu` ticks in /proc/stat, user to steal; empty if unreadable."""
+    try:
+        with open("/proc/stat", encoding="ascii") as fh:
+            return [int(t) for t in fh.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return []
+
+
+def steal_pct(before: list[int], after: list[int]) -> float | None:
+    if len(before) < 8 or len(after) < 8:
+        return None
+    total = sum(after) - sum(before)
+    return round(100 * (after[7] - before[7]) / total, 3) if total else 0.0
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run from `root`; its record as perfbench/run.py wrote it."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
+    path = os.path.join(root, "perfbench", "out", f"{workload}-seed{seed}-trace{trace}.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def side_summary(runs: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
+    return {"runs": [round(v, 4) for v in runs], "median": round(median, 4),
+            "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    ps, cs = side_summary(parent), side_summary(change)
+    won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+    return {
+        "parent": ps,
+        "change": cs,
+        "change_better_in_pairs": won,
+        "median_change_pct": round(100 * (cs["median"] / ps["median"] - 1), 2) if ps["median"] else None,
+        "parent_iqr": round(ps["q3"] - ps["q1"], 4),
+    }
+
+
+def uncommitted_src(root: str) -> bool | None:
+    """Whether src/ differs from the checkout's commit; None without git."""
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root,
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
+def record_pairs(roots: dict, workload: str, args, gated: dict, sides_meta: dict) -> dict:
+    """`args.pairs` alternating untraced pairs; fills `sides_meta` from the records."""
+    values: dict = {side: {} for side in SIDES}
+    failed = dict.fromkeys(SIDES, 0)
+    attempted = dict.fromkeys(SIDES, 0)
+    first, correct = [], True
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        first.append(order[0])
+        for side in order:
+            rec = run_once(roots[side], workload, args.seed, args.seconds, 0)
+            print(f"{workload} pair {pair} {side}: "
+                  + " ".join(f"{m}={rec['metrics'][m]['value']:.4g}" for m in gated), flush=True)
+            failed[side] += rec["failed"]
+            attempted[side] += rec["attempted"]
+            correct = correct and not rec["failed"] and not rec["invariant_errors"]
+            for name in gated:
+                values[side].setdefault(name, []).append(rec["metrics"][name]["value"])
+                raw = rec["extras"].get(f"raw.{name}")
+                if raw is not None:
+                    values[side].setdefault(f"raw.{name}", []).append(raw["value"])
+            sides_meta[side] = {key: rec["meta"][key] for key in ("commit", "source_sha256")}
+            sides_meta[side]["uncommitted_src"] = uncommitted_src(roots[side])
+    metrics = {
+        name: compare(values["parent"][name], values["change"][name], gated[name.removeprefix("raw.")])
+        for name in values["change"]
+    }
+    return {"seed": args.seed, "pairs": args.pairs, "first_in_pair": first, "failed": failed,
+            "attempted": attempted, "correct": correct, "metrics": metrics}
+
+
+def record_traced(roots: dict, workload: str, args) -> dict:
+    out: dict = {"seed": args.seed}
+    for side in SIDES:
+        rec = run_once(roots[side], workload, args.seed, args.seconds, 1)
+        out[side] = [{k: round(v["value"], 4) for k, v in rec["metrics"].items()}]
+        print(f"{workload} traced {side} done", flush=True)
+    return out
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    gated = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    workloads = [w["name"] for w in bench["workloads"]]
+    roots = {"parent": os.path.abspath(args.parent), "change": ROOT}
+
+    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    before = cpu_ticks()
+    sides_meta: dict = {}
+    trace0 = {w: record_pairs(roots, w, args, gated, sides_meta) for w in workloads}
+    trace1 = {w: record_traced(roots, w, args) for w in workloads}
+    after = cpu_ticks()
+
+    doc = {
+        "command": (f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
+                    f"--seconds {args.seconds:g} --trace <t>, from the root of a checkout of each "
+                    "side; within a pair the sides run back to back, the parent first in even pairs"),
+        "recorder": (f"scripts/record_bench.py --pairs {args.pairs} --seconds {args.seconds:g} "
+                     f"--seed {args.seed}"),
+        "parent": sides_meta["parent"],
+        "change": sides_meta["change"],
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "started_utc": started,
+        "host_steal": {"cpu_ticks_before": before, "cpu_ticks_after": after,
+                       "steal_pct": steal_pct(before, after)},
+        "values": ("each run's metric is that run's own median (p50) or rate; median, q1 and q3 "
+                   "are taken over the runs of one side (statistics.quantiles, inclusive)"),
+        "trace0": trace0,
+        "trace1": trace1,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

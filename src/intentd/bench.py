@@ -125,16 +125,28 @@ def _cell_rng(seed: int, *key) -> random.Random:
     return random.Random(f"{seed}:" + ":".join(str(k) for k in key))
 
 
+def _edge_devices(topo: Topology) -> dict[str, list]:
+    """Each device with edge ports, with those ports."""
+    by_device: dict[str, list] = {}
+    for cp in topo.edge_points():
+        by_device.setdefault(cp.device, []).append(cp)
+    return by_device
+
+
+def _devices_needed(intent_type: str) -> int:
+    """Devices with edge ports one request of the type is drawn from."""
+    _, fields = REQUEST_TYPES[intent_type]
+    return sum(2 if kind is FieldKind.POINT_SET else 1 for kind in fields.values())
+
+
 def _pick_request(topo: Topology, intent_type: str, rng: random.Random) -> IntentRequest:
     """A fixed request for one cell: in field order, one device per point field
     and two per point set, all from one sample of the devices with edge ports,
     then one edge port on each device."""
-    by_device: dict[str, list] = {}
-    for cp in topo.edge_points():
-        by_device.setdefault(cp.device, []).append(cp)
+    by_device = _edge_devices(topo)
     cls, fields = REQUEST_TYPES[intent_type]
     pairs = [kind is FieldKind.POINT_SET for kind in fields.values()]
-    devices = rng.sample(sorted(by_device), len(pairs) + sum(pairs))
+    devices = rng.sample(sorted(by_device), _devices_needed(intent_type))
     points = iter([rng.choice(by_device[device]) for device in devices])
     return cls(*(
         frozenset((next(points), next(points))) if pair else next(points) for pair in pairs
@@ -154,12 +166,22 @@ class BenchRunner:
     """Owns the controllers, and the REST server, for one benchmark run.
 
     The server starts on the first REST sample, on an ephemeral loopback
-    port, over the same controller the CLI samples use.
+    port, over the same controller the CLI samples use.  A type whose
+    requests need more devices with edge ports than the topology has is
+    refused here, before any sample.
     """
 
     def __init__(self, config: BenchmarkConfig) -> None:
         self.config = config
         self.topology = load_cli_topology(config.topology)
+        have = len(_edge_devices(self.topology))
+        for intent_type in config.intent_types:
+            needed = _devices_needed(intent_type)
+            if needed > have:
+                raise ValueError(
+                    f"{intent_type} needs {needed} devices with edge ports; "
+                    f"the topology has {have}"
+                )
         self._controller = Controller(self.topology)
         self._server: RestServer | None = None
         self._client: RestClient | None = None

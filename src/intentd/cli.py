@@ -260,9 +260,9 @@ def _run_bench(args: argparse.Namespace) -> int:
 
     try:
         config = bench.config_from_args(args)
+        runner = bench.BenchRunner(config)  # loads and checks the topology
         # the report directory is made before the sweep, so a bad --out stops it
         os.makedirs(config.output_dir, exist_ok=True)
-        runner = bench.BenchRunner(config)  # loads the topology
     except (ValueError, OSError, IntentdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

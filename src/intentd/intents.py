@@ -108,8 +108,9 @@ REQUEST_TYPES: dict[str, tuple[type, dict[str, FieldKind]]] = {
 }
 # the class names are accepted on the wire too; documents carry the short form
 REQUEST_TYPES |= {cls.__name__: (cls, fields) for cls, fields in REQUEST_TYPES.values()}
-# read by validate_request on every submit; an enum member lookup costs ~0.1 us
-_POINT_SET, _HOST = FieldKind.POINT_SET, FieldKind.HOST
+# read for every field of every request that is checked, encoded or parsed;
+# an enum member lookup costs ~0.1 us
+_POINT, _POINT_SET, _HOST = FieldKind.POINT, FieldKind.POINT_SET, FieldKind.HOST
 _COMMON_FIELDS = ("type", "priority", "selector")
 _SELECTOR_FIELDS = ("eth_src", "eth_dst", "vlan")
 
@@ -120,22 +121,22 @@ def request_document(request: IntentRequest) -> dict:
     _, fields = REQUEST_TYPES[request.type_name]
     for name, kind in fields.items():
         value = getattr(request, name)
-        if kind is FieldKind.POINT:
+        if kind is _POINT:
             value = str(value)
-        elif kind is FieldKind.POINT_SET:
+        elif kind is _POINT_SET:
             value = [str(cp) for cp in sorted(value)]
         doc[name] = value
     return doc
 
 
 def _decode_field(kind: FieldKind, name: str, value: Any) -> Any:
-    if kind is FieldKind.POINT_SET:
+    if kind is _POINT_SET:
         if not isinstance(value, list):
             raise RequestSchemaError(f"{name} must be a {kind.value}")
-        return frozenset(_decode_field(FieldKind.POINT, name, item) for item in value)
+        return frozenset(_decode_field(_POINT, name, item) for item in value)
     if not isinstance(value, str):
         raise RequestSchemaError(f"{name} must be a {kind.value}")
-    if kind is FieldKind.HOST:
+    if kind is _HOST:
         return value
     try:
         return ConnectPoint.parse(value)
@@ -179,11 +180,13 @@ def parse_intent_document(
 class Intent(Record):
     """One stored intent and its lifecycle state.  `child_ids` is set once a
     host-to-host parent has been expanded, even to no legs; `parent_id` names
-    the host-to-host parent that owns a leg."""
+    the host-to-host parent that owns a leg.  `template` is not a field: it
+    is the controller's template entry an INSTALLED leaf holds, else None."""
 
-    __slots__ = _fields = (
+    _fields = (
         "id", "request", "selector", "priority", "state", "failure", "child_ids", "parent_id",
     )
+    __slots__ = (*_fields, "template")
 
     def __init__(
         self,
@@ -204,6 +207,7 @@ class Intent(Record):
         self.failure = failure
         self.child_ids = child_ids
         self.parent_id = parent_id
+        self.template: list | None = None
 
     @property
     def type_name(self) -> str:
@@ -423,6 +427,12 @@ class Controller:
     Every public method holds the controller's one lock, so each submit,
     withdraw and reset is atomic and every read sees store and fabric agree.
     It is reentrant because a host-to-host submit submits its legs.
+
+    A request compiles once while it is live.  `_templates` maps each request
+    that has an INSTALLED leaf to [rules, users]: the rules one such intent
+    was compiled to, and how many INSTALLED leaves hold the entry.  An equal
+    request stamps its rules from that template instead of compiling.  The
+    rules depend only on the request and the topology, which never changes.
     """
 
     def __init__(
@@ -437,6 +447,9 @@ class Controller:
         self.store = IntentStore(capacity=capacity)
         self._next_rule_id = itertools.count(1).__next__
         self._treatments = TreatmentCache()
+        self._templates: dict[IntentRequest, list] = {}
+        # the next new entry, planted by setdefault: a submit hashes its request once
+        self._spare: list = [None, 0]
         self._lock = threading.RLock()
 
     def submit(
@@ -462,18 +475,39 @@ class Controller:
                 self._drive_host_to_host(intent)
                 return intent.id
 
-            try:
-                rules = self._compile(intent)
-            except (NoPathError, CompileError) as exc:
-                self.store.transition(intent, IntentState.FAILED, failure=str(exc))
-                return intent.id
+            # [rules, users]; a miss plants the spare entry, with no users yet
+            entry = self._templates.setdefault(request, self._spare)
+            compiled = not entry[1]
+            if compiled:
+                self._spare = [None, 0]
+                try:
+                    rules = self._compile(intent)
+                except (NoPathError, CompileError) as exc:
+                    del self._templates[request]
+                    self.store.transition(intent, IntentState.FAILED, failure=str(exc))
+                    return intent.id
+            else:
+                next_rule_id = self._next_rule_id
+                rules = [
+                    FlowRule(
+                        next_rule_id(), r.device, selector, r.treatment, intent.id, priority,
+                        r.in_port,
+                    )
+                    for r in entry[0]
+                ]
 
             self.store.transition(intent, IntentState.INSTALLING)
             try:
                 self.fabric.install_rules(rules)
             except (FabricError, ValueError) as exc:
+                if compiled:
+                    del self._templates[request]
                 self.store.transition(intent, IntentState.FAILED, failure=str(exc))
                 return intent.id
+            if compiled:
+                entry[0] = rules
+            entry[1] += 1
+            intent.template = entry
             self.store.transition(intent, IntentState.INSTALLED)
             return intent.id
 
@@ -556,13 +590,20 @@ class Controller:
             self.store.transition(intent, IntentState.WITHDRAWN)
 
     def _remove(self, intent: Intent) -> None:
-        """Withdraw an intent's INSTALLED legs, then drop its own rules."""
+        """Withdraw an intent's INSTALLED legs, then drop its own rules and its
+        hold on its template, which goes when no INSTALLED leaf holds it."""
         for child_id in intent.child_ids or ():
             child = self.store.get(child_id)
             if child.state is IntentState.INSTALLED:
-                self.fabric.remove_rules(child_id)
+                self._remove(child)
                 self.store.transition(child, IntentState.WITHDRAWN)
         self.fabric.remove_rules(intent.id)
+        entry = intent.template
+        if entry is not None:
+            intent.template = None
+            entry[1] -= 1
+            if not entry[1]:
+                del self._templates[intent.request]
 
     def get(self, intent_id: int) -> Intent:
         with self._lock:
@@ -596,6 +637,7 @@ class Controller:
         with self._lock:
             self.fabric.clear()
             self.store.clear()
+            self._templates.clear()
 
 
 def intent_document(controller: Controller, intent: Intent) -> dict:

@@ -272,6 +272,24 @@ class TestMainEndToEnd:
         assert err.startswith("error: ")
         assert "workload=" not in out
 
+    def test_bench_type_too_big_for_topology_stops_before_out(self, capsys, tmp_path):
+        # two linked devices with one edge port each; S2M draws three devices
+        two = tmp_path / "two.json"
+        two.write_text(json.dumps({
+            "devices": [{"id": D1, "ports": [1, 2]}, {"id": D2, "ports": [1, 2]}],
+            "links": [{"src": f"{D1}/2", "dst": f"{D2}/1"}],
+        }))
+        report = tmp_path / "report"
+        code = main(
+            ["bench", "--topology", str(two), "--out", str(report), "--types", "S2M",
+             "--workloads", "1,2,3", "--iterations", "2", "--saturation", "0"]
+        )
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert err == "error: S2M needs 3 devices with edge ports; the topology has 2\n"
+        assert "workload=" not in out
+        assert not report.exists()
+
     def test_add_path_leaves_out_dataclasses_inspect_and_hashlib(self):
         src = os.path.dirname(os.path.dirname(intentd.__file__))
         proc = subprocess.run(

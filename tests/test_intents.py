@@ -1,13 +1,16 @@
 """Intent lifecycle, compilation, the request codec, and end-to-end delivery."""
 import json
 import random
+import sys
 import threading
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, multiple, rule
 
+from intentd import intents
 from intentd.errors import (
     FabricError,
     IllegalStateError,
@@ -37,7 +40,7 @@ from intentd.intents import (
     parse_intent_document,
     request_document,
 )
-from intentd.topology import ConnectPoint, default_topology, device_id, host_mac
+from intentd.topology import ConnectPoint, Topology, default_topology, device_id, host_mac
 from conftest import D1, D2, D3, HUB
 from randnet import (
     DEFAULT_HEADER,
@@ -318,16 +321,7 @@ class TestLifecycleAccounting:
         assert controller.list() == []
 
     def test_rule_counts_of_terminal_intents_are_zero(self, chain3):
-        class SecondBatchFails(Fabric):
-            calls = 0
-
-            def install_rules(self, rules):
-                self.calls += 1
-                if self.calls == 2:
-                    raise FabricError("second batch refused")
-                return super().install_rules(rules)
-
-        ctrl = Controller(chain3, fabric=SecondBatchFails(chain3))
+        ctrl = Controller(chain3, fabric=InstallFails(chain3, fail_from=2))
         pair = ctrl.submit(HostToHost("h1", "h2"))  # the second leg fails to install
         first, second = ctrl.get(pair).child_ids
         assert ctrl.get(pair).state is IntentState.FAILED
@@ -364,6 +358,157 @@ class TestLifecycleAccounting:
         b = controller.submit(p2p_h1_h2())
         assert a != b
         assert controller.installed_rules() == 6
+
+
+def rule_shapes(ctrl: Controller, intent_id: int) -> list[tuple]:
+    """An intent's rules in id order, without their ids and owner."""
+    return [
+        (r.device, r.in_port, r.selector, r.treatment.outputs, r.priority)
+        for r in sorted(ctrl.fabric.rules_of(intent_id), key=lambda r: r.rule_id)
+    ]
+
+
+def leaves_of(ctrl: Controller, intent_id: int) -> list[int]:
+    return list(ctrl.get(intent_id).child_ids or (intent_id,))
+
+
+def template_users(ctrl: Controller) -> dict:
+    return {request: entry[1] for request, entry in ctrl._templates.items()}
+
+
+class InstallFails(Fabric):
+    """A fabric that refuses every batch from the `fail_from`-th call on."""
+
+    def __init__(self, topology, fail_from: int = 1) -> None:
+        super().__init__(topology)
+        self.fail_from = fail_from
+        self.calls = 0
+
+    def install_rules(self, rules):
+        self.calls += 1
+        if self.calls >= self.fail_from:
+            raise FabricError("batch refused")
+        return super().install_rules(rules)
+
+
+class TestTemplates:
+    """A request compiles once while it is live; equal submits stamp rules."""
+
+    FIRST = TrafficSelector(eth_dst="aa:aa:aa:aa:aa:01")
+    SECOND = TrafficSelector(eth_src="aa:aa:aa:aa:aa:02", vlan=7)
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """Counts calls of the three compilers, looked up by name in intents."""
+        calls = []
+        for name in ("compile_point_to_point", "compile_single_to_multi", "compile_multi_to_single"):
+            compiler = getattr(intents, name)
+
+            def counted(*args, compiler=compiler):
+                calls.append(compiler.__name__)
+                return compiler(*args)
+
+            monkeypatch.setattr(intents, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "topology, request_",
+        [
+            ("star", PointToPoint(CP(D1, 1), CP(D3, 2))),
+            ("star", SingleToMultiPoint(CP(D1, 1), frozenset({CP(D2, 2), CP(D3, 2)}))),
+            ("star", MultiToSinglePoint(frozenset({CP(D1, 1), CP(D2, 2)}), CP(D3, 2))),
+            ("chain3", HostToHost("h1", "h2")),
+        ],
+        ids=["P2P", "S2M", "M2S", "H2H"],
+    )
+    def test_stamped_rules_equal_a_cold_compile(self, request, compiles, topology, request_):
+        topo = request.getfixturevalue(topology)
+        warm = Controller(topo)
+        first = warm.submit(request_, priority=120, selector=self.FIRST)
+        compiled = len(compiles)
+        hit = warm.submit(request_, priority=300, selector=self.SECOND)
+        assert len(compiles) == compiled  # the hit compiled nothing
+        cold = Controller(topo)
+        fresh = cold.submit(request_, priority=300, selector=self.SECOND)
+        assert warm.get(hit).state is IntentState.INSTALLED
+        for hit_leaf, fresh_leaf in zip(leaves_of(warm, hit), leaves_of(cold, fresh), strict=True):
+            assert rule_shapes(warm, hit_leaf) == rule_shapes(cold, fresh_leaf)
+            ids = sorted(r.rule_id for r in warm.fabric.rules_of(hit_leaf))
+            assert ids == list(range(ids[0], ids[0] + len(ids)))
+            assert all(r.owner_intent == hit_leaf for r in warm.fabric.rules_of(hit_leaf))
+        assert template_users(warm) == {
+            warm.get(leaf).request: 2 for leaf in leaves_of(warm, first)
+        }
+
+    def test_no_path_is_raised_again_on_every_repeat(self, monkeypatch):
+        topo = Topology({D1: [1], D2: [1]}, [])
+        ctrl = Controller(topo)
+        searches = []
+        search = intents.shortest_path
+        monkeypatch.setattr(
+            intents, "shortest_path", lambda *args: searches.append(args) or search(*args)
+        )
+        for attempt in range(1, 4):
+            iid = ctrl.submit(PointToPoint(CP(D1, 1), CP(D2, 1)))
+            assert ctrl.get(iid).state is IntentState.FAILED
+            assert "no path" in ctrl.get(iid).failure.lower()
+            assert len(searches) == attempt
+            assert ctrl._templates == {}
+
+    def test_failed_install_leaves_the_memo_unchanged(self, chain3):
+        ctrl = Controller(chain3, fabric=InstallFails(chain3))
+        for _ in range(2):
+            iid = ctrl.submit(p2p_h1_h2())
+            assert ctrl.get(iid).state is IntentState.FAILED
+            assert ctrl._templates == {}
+
+        ctrl = Controller(chain3, fabric=InstallFails(chain3, fail_from=2))
+        first = ctrl.submit(p2p_h1_h2())
+        (entry,) = ctrl._templates.values()
+        rules = entry[0]
+        failed = ctrl.submit(p2p_h1_h2())  # a hit whose install fails
+        assert ctrl.get(failed).state is IntentState.FAILED
+        assert ctrl._templates == {p2p_h1_h2(): [rules, 1]}
+        assert ctrl._templates[p2p_h1_h2()][0] is rules
+        ctrl.withdraw(first)
+        assert ctrl._templates == {}
+
+    def test_host_to_host_rollback_releases_the_first_leg(self, chain3):
+        ctrl = Controller(chain3, fabric=InstallFails(chain3, fail_from=2))
+        pair = ctrl.submit(HostToHost("h1", "h2"))
+        assert ctrl.get(pair).state is IntentState.FAILED
+        assert ctrl._templates == {}
+
+    def test_memo_is_empty_after_everything_is_withdrawn_and_after_reset(self, chain3):
+        ctrl = Controller(chain3)
+        requests = [
+            p2p_h1_h2(),
+            SingleToMultiPoint(CP(D1, 1), frozenset({CP(D3, 2)})),
+            MultiToSinglePoint(frozenset({CP(D3, 2)}), CP(D1, 1)),
+            HostToHost("h1", "h2"),
+        ]
+        ids = [ctrl.submit(r) for r in requests * 3]
+        # the H2H's h1 -> h2 leg is the plain P2P request: one template for both
+        assert template_users(ctrl) == {
+            p2p_h1_h2(): 6,
+            PointToPoint(CP(D3, 2), CP(D1, 1)): 3,
+            requests[1]: 3,
+            requests[2]: 3,
+        }
+        for iid in ids:
+            ctrl.withdraw(iid)
+        assert ctrl._templates == {}
+        for r in requests:
+            ctrl.submit(r)
+        assert len(ctrl._templates) == 4
+        ctrl.reset()
+        assert ctrl._templates == {}
+        iid = ctrl.submit(p2p_h1_h2())  # compiles afresh after the reset
+        assert rule_shapes(ctrl, iid) == [
+            (D1, 1, TrafficSelector(), (2,), DEFAULT_PRIORITY),
+            (D2, 1, TrafficSelector(), (2,), DEFAULT_PRIORITY),
+            (D3, 1, TrafficSelector(), (2,), DEFAULT_PRIORITY),
+        ]
 
 
 class HeldFabric(Fabric):
@@ -449,6 +594,45 @@ class TestConcurrentLifecycle:
             raise errors[0]
         assert ctrl.get(iid).state is IntentState.WITHDRAWN
         assert ctrl.installed_rules() == ctrl.live_intents() == 0
+
+    def test_threads_churning_equal_requests_keep_template_counts(self):
+        ctrl = Controller(default_topology())
+        requests = [
+            CHAIN_P2P,
+            SingleToMultiPoint(CP(device_id(1), 4), frozenset({CP(device_id(3), 3), CP(device_id(5), 4)})),
+            HostToHost("h1", "h2"),
+        ]
+        errors = []
+
+        def churn(seed):
+            rng = random.Random(seed)
+            mine = []
+            try:
+                for _ in range(200):
+                    if mine and rng.random() < 0.4:
+                        ctrl.withdraw(mine.pop(rng.randrange(len(mine))))
+                    else:
+                        mine.append(ctrl.submit(rng.choice(requests)))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=churn, args=(n,), daemon=True) for n in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        leaves = Counter(
+            i.request for i in ctrl.list() if i.state is IntentState.INSTALLED and i.child_ids is None
+        )
+        assert template_users(ctrl) == dict(leaves) and leaves
+        assert_store_matches_fabric(ctrl)
 
 
 class TestHostToHost:
@@ -701,7 +885,19 @@ class LifecycleModel(RuleBasedStateMachine):
 
     @rule(target=ids, hosts=st.permutations(sorted(CHAIN.hosts)))
     def submit_host_pair(self, hosts):
-        iid = self._submit(HostToHost(*hosts))
+        return self._submit_pair(HostToHost(*hosts))
+
+    @rule(target=ids, iid=ids)
+    def resubmit(self, iid):
+        """Submit a known intent's request again, so that equal requests meet."""
+        assume(iid in self.model)
+        request = self.ctrl.get(iid).request
+        if isinstance(request, HostToHost):
+            return self._submit_pair(request)
+        return self._submit(request)
+
+    def _submit_pair(self, request):
+        iid = self._submit(request)
         legs = self.ctrl.get(iid).child_ids
         assert len(legs) == 2
         for leg in legs:
@@ -743,6 +939,15 @@ class LifecycleModel(RuleBasedStateMachine):
     @invariant()
     def store_matches_fabric(self):
         assert_store_matches_fabric(self.ctrl)
+
+    @invariant()
+    def templates_count_installed_leaves(self):
+        leaves = Counter(
+            i.request
+            for i in self.ctrl.list()
+            if i.state is IntentState.INSTALLED and i.child_ids is None
+        )
+        assert template_users(self.ctrl) == dict(leaves)
 
     @invariant()
     def installed_leaves_deliver(self):
