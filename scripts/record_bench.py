@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record alternating parent/change benchmark runs in one BENCH_<n>.json.
 
-    scripts/record_bench.py --parent <checkout> --pairs 10 --seconds 30 --seed 1 --out BENCH_14.json
+    scripts/record_bench.py --parent <checkout> --pairs 10 --seconds 30 --seed 1 --out BENCH_15.json
 
 The change side is the checkout that holds this script; the parent side is
 another checkout, typically of the commit before.  For every workload that
@@ -11,11 +11,13 @@ BENCHMARK.json names, each pair runs
 
 from the root of one side and then of the other, the parent first in even
 pairs, and reads each run's full record from that side's perfbench/out/.
-After the pairs, one traced pair (`--trace 1`) per workload records the
-per-layer split.  The file holds, per workload and metric, every run of
-each side, each side's median and quartiles, and the pairs the change won,
-plus the commit and source digest of each side, nproc, the Python version
-and the host's steal time from /proc/stat over the whole recording.
+After the pairs, TRACED_PAIRS alternating traced pairs (`--trace 1`) per
+workload record the per-layer split.  The file holds, per workload and
+metric, every run of each side, each side's median and quartiles, and the
+pairs the change won; per traced run, every per-layer metric and the call
+count of every span, with each side's median, min and max per metric; plus
+the commit and source digest of each side, nproc, the Python version and
+the host's steal time from /proc/stat over the whole recording.
 Only the standard library is used.
 """
 from __future__ import annotations
@@ -31,6 +33,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+# one traced run per side cannot resolve a 10-20% change in one layer
+TRACED_PAIRS = 3
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -136,11 +140,27 @@ def record_pairs(roots: dict, workload: str, args, gated: dict, sides_meta: dict
 
 
 def record_traced(roots: dict, workload: str, args) -> dict:
-    out: dict = {"seed": args.seed}
+    """TRACED_PAIRS alternating traced pairs: each run's per-layer metrics and
+    span call counts, and each side's median, min and max of every metric."""
+    runs: dict = {side: [] for side in SIDES}
+    calls: dict = {side: [] for side in SIDES}
+    for pair in range(TRACED_PAIRS):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            rec = run_once(roots[side], workload, args.seed, args.seconds, 1)
+            runs[side].append({k: round(v["value"], 4) for k, v in rec["metrics"].items()})
+            calls[side].append({name: row["calls"] for name, row in rec["breakdown"].items()})
+            print(f"{workload} traced pair {pair} {side} done", flush=True)
+    out: dict = {"seed": args.seed, "pairs": TRACED_PAIRS}
     for side in SIDES:
-        rec = run_once(roots[side], workload, args.seed, args.seconds, 1)
-        out[side] = [{k: round(v["value"], 4) for k, v in rec["metrics"].items()}]
-        print(f"{workload} traced {side} done", flush=True)
+        values = {name: [run[name] for run in runs[side]] for name in runs[side][0]}
+        out[side] = {
+            "summary": {
+                name: {"median": round(statistics.median(vs), 4), "min": min(vs), "max": max(vs)}
+                for name, vs in values.items()
+            },
+            "runs": runs[side],
+            "calls": calls[side],
+        }
     return out
 
 
@@ -174,7 +194,9 @@ def main(argv=None) -> int:
         "host_steal": {"cpu_ticks_before": before, "cpu_ticks_after": after,
                        "steal_pct": steal_pct(before, after)},
         "values": ("each run's metric is that run's own median (p50) or rate; median, q1 and q3 "
-                   "are taken over the runs of one side (statistics.quantiles, inclusive)"),
+                   "are taken over the runs of one side (statistics.quantiles, inclusive); in "
+                   "trace1 a side's median, min and max are over its traced runs, and `calls` "
+                   "holds each traced run's span call counts (perfbench's breakdown)"),
         "trace0": trace0,
         "trace1": trace1,
     }

@@ -205,7 +205,11 @@ class FlowTable:
         else:
             if type(held) is not dict:
                 held = index[key] = {held.rule_id: held}
-            in_order = _match_order(rule) > _match_order(next(reversed(held.values())))
+            last = next(reversed(held.values()))
+            priority = rule.priority
+            in_order = priority < last.priority or (
+                priority == last.priority and rule.rule_id > last.rule_id
+            )
             held[rule.rule_id] = rule
             if not in_order:
                 index[key] = {
@@ -296,12 +300,14 @@ class Fabric:
     def install_rules(self, rules: Sequence[FlowRule]) -> int:
         """Install a batch atomically; on any error nothing is installed."""
         port_sets, ids, by_owner = self._ports, self._ids, self._by_owner
+        owners = {rule.owner_intent for rule in rules}
         # a duplicate has the same device, priority, match key and owner, so
         # only the batch and the live rules of the batch's owners can hold one
         keys: set[tuple] = {
             (live.device, live.priority, live.match_key, owner)
-            for owner in {rule.owner_intent for rule in rules}
-            for live in by_owner.get(owner, ())
+            for owner in owners
+            if owner in by_owner
+            for live in by_owner[owner]
         }
         batch_ids: set[int] = set()
         for rule in rules:
@@ -332,11 +338,14 @@ class Fabric:
                 raise DuplicateRuleError(f"rule id {rule_id} is already in use")
             batch_ids.add(rule_id)
 
-        ids.update(batch_ids)
+        ids |= batch_ids
+        for owner in owners:
+            if owner not in by_owner:
+                by_owner[owner] = []
         tables = self._tables
         for rule in rules:
             tables[rule.device].add(rule)
-            by_owner.setdefault(rule.owner_intent, []).append(rule)
+            by_owner[rule.owner_intent].append(rule)
         return len(rules)
 
     def remove_rules(self, owner_intent: int) -> int:

@@ -432,7 +432,8 @@ class Controller:
     that has an INSTALLED leaf to [rules, users]: the rules one such intent
     was compiled to, and how many INSTALLED leaves hold the entry.  An equal
     request stamps its rules from that template instead of compiling.  The
-    rules depend only on the request and the topology, which never changes.
+    rules depend only on the request and the topology, which never changes,
+    so an equal request is not validated again either.
     """
 
     def __init__(
@@ -461,25 +462,36 @@ class Controller:
     ) -> int:
         """Drive a request to INSTALLED or FAILED; returns the intent id.
 
-        Validation and store-capacity problems raise before anything is
-        stored; compile and install problems are recorded on the intent.
+        Validation and store-capacity problems raise, in that order, before
+        anything is stored; compile and install problems are recorded on the
+        intent.
         """
         if selector is None:
             selector = TrafficSelector()
-        validate_request(self.topology, request)
         with self._lock:
-            intent = self.store.admit(request, selector, priority)
-            self.store.transition(intent, IntentState.COMPILING)
-
             if isinstance(request, HostToHost):
+                validate_request(self.topology, request)
+                intent = self.store.admit(request, selector, priority)
+                self.store.transition(intent, IntentState.COMPILING)
                 self._drive_host_to_host(intent)
                 return intent.id
 
             # [rules, users]; a miss plants the spare entry, with no users yet
-            entry = self._templates.setdefault(request, self._spare)
+            try:
+                entry = self._templates.setdefault(request, self._spare)
+            except TypeError:  # unhashable, so no request: validation names it
+                validate_request(self.topology, request)
+                raise
             compiled = not entry[1]
             if compiled:
+                try:
+                    validate_request(self.topology, request)
+                    intent = self.store.admit(request, selector, priority)
+                except BaseException:
+                    del self._templates[request]
+                    raise
                 self._spare = [None, 0]
+                self.store.transition(intent, IntentState.COMPILING)
                 try:
                     rules = self._compile(intent)
                 except (NoPathError, CompileError) as exc:
@@ -487,6 +499,8 @@ class Controller:
                     self.store.transition(intent, IntentState.FAILED, failure=str(exc))
                     return intent.id
             else:
+                intent = self.store.admit(request, selector, priority)
+                self.store.transition(intent, IntentState.COMPILING)
                 next_rule_id = self._next_rule_id
                 rules = [
                     FlowRule(

@@ -155,6 +155,39 @@ class TestInstall:
             fabric.install_rules(batch)
         assert fabric.rule_count() == 1  # nothing from the failed batch landed
 
+    def test_rules_of_keeps_each_owners_install_order(self, chain3):
+        fabric = Fabric(chain3)
+        a1 = rule(D1, 1, 2, owner=1)
+        fabric.install_rules([a1])
+        # one batch mixes owner 1, which holds live rules, with a new owner 2
+        b1, a2, b2, a3 = (
+            rule(D1, 1, 2, owner=2), rule(D2, 1, 2, owner=1),
+            rule(D2, 1, 2, owner=2), rule(D3, 1, 2, owner=1),
+        )
+        fabric.install_rules([b1, a2, b2, a3])
+        assert fabric.rules_of(1) == [a1, a2, a3]
+        assert fabric.rules_of(2) == [b1, b2]
+        refused = [
+            # valid rules of a new, an existing and a live owner ahead of a
+            # collision with owner 1's live rule
+            ([rule(D3, 1, 2, owner=3), rule(D1, 2, 1, owner=2), rule(D1, 2, 1, owner=1),
+              rule(D1, 1, 2, owner=1)], DuplicateRuleError),
+            ([rule(D1, 2, 1, owner=2), rule(D2, 2, 1, owner=3, rule_id=a1.rule_id)],
+             DuplicateRuleError),
+            ([rule(D1, 2, 1, owner=4), rule(D1, 1, 9, owner=1)], ValueError),
+        ]
+        for batch, error in refused:
+            with pytest.raises(error):
+                fabric.install_rules(batch)
+            assert fabric.rules_of(1) == [a1, a2, a3]
+            assert fabric.rules_of(2) == [b1, b2]
+            assert fabric.rules_of(3) == fabric.rules_of(4) == []
+            assert set(fabric._by_owner) == {1, 2}  # no owner list is left behind
+            assert fabric.rule_count() == 5
+        assert fabric.remove_rules(1) == 3
+        assert fabric.rules_of(2) == [b1, b2]
+        assert fabric.rules_for(D1) == [b1]
+
     def test_intra_batch_duplicate_rejected(self, chain3):
         fabric = Fabric(chain3)
         with pytest.raises(DuplicateRuleError):

@@ -137,10 +137,12 @@ class TestValidation:
              f"{D2}/1 is named twice"),
             (HostToHost("h2", "h2"), "h2 is named twice"),
             (object(), "unsupported request type object"),
+            ([], "unsupported request type list"),
         ],
         ids=["p2p-unknown", "s2m-unknown-member", "m2s-unknown-member",
              "s2m-least-unknown-member", "h2h-unknown", "s2m-empty", "m2s-empty",
-             "p2p-repeat", "s2m-repeat", "m2s-repeat", "h2h-repeat", "not-a-request"],
+             "p2p-repeat", "s2m-repeat", "m2s-repeat", "h2h-repeat", "not-a-request",
+             "unhashable-non-request"],
     )
     def test_one_rule_for_every_type(self, controller, request_, message):
         with pytest.raises(IntentValidationError) as caught:
@@ -410,6 +412,103 @@ class TestTemplates:
 
             monkeypatch.setattr(intents, name, counted)
         return calls
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        """The requests validate_request is called with, looked up by name in intents."""
+        calls = []
+        validate = intents.validate_request
+
+        def counted(topo, request):
+            calls.append(request)
+            return validate(topo, request)
+
+        monkeypatch.setattr(intents, "validate_request", counted)
+        return calls
+
+    @staticmethod
+    def snapshot(ctrl):
+        """Everything a refused submit must leave as it was."""
+        return (
+            {request: (id(entry), id(entry[0]), entry[1]) for request, entry in ctrl._templates.items()},
+            [(i.id, i.state) for i in ctrl.list()],
+            ctrl.live_intents(),
+            ctrl.installed_rules(),
+        )
+
+    @pytest.mark.parametrize(
+        "topology, request_",
+        [
+            ("star", PointToPoint(CP(D1, 1), CP(D3, 2))),
+            ("star", SingleToMultiPoint(CP(D1, 1), frozenset({CP(D2, 2), CP(D3, 2)}))),
+            ("star", MultiToSinglePoint(frozenset({CP(D1, 1), CP(D2, 2)}), CP(D3, 2))),
+            ("chain3", HostToHost("h1", "h2")),
+        ],
+        ids=["P2P", "S2M", "M2S", "H2H"],
+    )
+    def test_a_hit_is_not_validated(self, request, validations, topology, request_):
+        ctrl = Controller(request.getfixturevalue(topology))
+        first = ctrl.submit(request_)
+        legs = [ctrl.get(leaf).request for leaf in leaves_of(ctrl, first) if leaf != first]
+        assert validations == [request_, *legs]
+        del validations[:]
+        hit = ctrl.submit(request_, priority=300, selector=self.SECOND)
+        assert ctrl.get(hit).state is IntentState.INSTALLED
+        # an H2H parent checks its hosts on every submit; its legs hit
+        assert validations == ([request_] if legs else [])
+        ctrl.withdraw(first)
+        ctrl.withdraw(hit)
+        ctrl.submit(request_)  # the template went with its last user
+        assert validations == ([request_] if legs else []) + [request_, *legs]
+
+    @pytest.mark.parametrize(
+        "request_, message",
+        [
+            (PointToPoint(CP(device_id(99), 1), CP(D3, 2)),
+             f"unknown connect point {device_id(99)}/1"),
+            (SingleToMultiPoint(CP(D1, 1), frozenset()), "egresses must not be empty"),
+            (MultiToSinglePoint(frozenset({CP(D1, 1), CP(D2, 1)}), CP(D2, 1)),
+             f"{D2}/1 is named twice"),
+        ],
+        ids=["unknown-point", "empty-set", "named-twice"],
+    )
+    def test_a_miss_that_fails_validation_stores_nothing(self, controller, request_, message):
+        controller.submit(p2p_h1_h2())
+        before = self.snapshot(controller)
+        for _ in range(2):  # a refused request leaves no entry to hit
+            with pytest.raises(IntentValidationError) as caught:
+                controller.submit(request_)
+            assert str(caught.value) == message
+            assert self.snapshot(controller) == before
+
+    def test_validation_is_checked_before_capacity(self, chain3):
+        ctrl = Controller(chain3, capacity=0)
+        with pytest.raises(IntentValidationError):
+            ctrl.submit(PointToPoint(CP(D1, 1), CP(D1, 1)))
+        with pytest.raises(StoreCapacityError):
+            ctrl.submit(p2p_h1_h2())
+        assert ctrl._templates == {}
+
+    def test_a_hit_refused_by_a_full_store_changes_nothing(self, chain3, validations):
+        ctrl = Controller(chain3, capacity=1)
+        ctrl.submit(p2p_h1_h2())
+        before = self.snapshot(ctrl)
+        with pytest.raises(StoreCapacityError, match=r"store is full \(1 live intents\)"):
+            ctrl.submit(p2p_h1_h2())
+        assert self.snapshot(ctrl) == before
+        assert template_users(ctrl) == {p2p_h1_h2(): 1}
+        assert validations == [p2p_h1_h2()]
+
+    def test_a_miss_refused_by_a_full_store_leaves_no_entry(self, chain3):
+        ctrl = Controller(chain3, capacity=1)
+        ctrl.submit(p2p_h1_h2())
+        before = self.snapshot(ctrl)
+        reverse = PointToPoint(CP(D3, 2), CP(D1, 1))
+        for _ in range(2):
+            with pytest.raises(StoreCapacityError):
+                ctrl.submit(reverse)
+            assert self.snapshot(ctrl) == before
+        assert reverse not in ctrl._templates
 
     @pytest.mark.parametrize(
         "topology, request_",
@@ -847,12 +946,41 @@ class TestRandomInstances:
         assert ctrl.live_intents() == 0
 
 
+_unknown = st.sampled_from([CP(device_id(99), 1), CP(device_id(1), 99)])
+# requests that validate_request refuses on the default chain, one row per rule
+INVALID_REQUESTS = st.one_of(
+    st.builds(PointToPoint, _unknown, _point),
+    st.builds(SingleToMultiPoint, _point, st.builds(frozenset.union, _points, _unknown.map(lambda p: {p}))),
+    st.builds(SingleToMultiPoint, _point, st.just(frozenset())),
+    st.builds(MultiToSinglePoint, st.just(frozenset()), _point),
+    _point.map(lambda p: PointToPoint(p, p)),
+    _point.map(lambda p: MultiToSinglePoint(frozenset({p}), p)),
+    st.builds(HostToHost, _host, st.just("nobody")),
+    _host.map(lambda h: HostToHost(h, h)),
+)
+
+
+def _points_request(kind, points):
+    first, *rest = points
+    if kind is PointToPoint:
+        return PointToPoint(first, rest[0])
+    if kind is SingleToMultiPoint:
+        return SingleToMultiPoint(first, frozenset(rest))
+    return MultiToSinglePoint(frozenset(rest), first)
+
+
+_KINDS = st.sampled_from((PointToPoint, SingleToMultiPoint, MultiToSinglePoint))
+_DISTINCT_POINTS = st.lists(_point, min_size=2, max_size=4, unique=True)
+
+
 class LifecycleModel(RuleBasedStateMachine):
     """Submit, withdraw and reset on the default chain, checked against a model.
 
-    Every drawn request is valid and routable there, so each submit installs.
-    Each gets a vlan of its own, which keeps the intents' traffic apart, so
-    every INSTALLED leaf's walk can be checked while the others are in place.
+    Every request drawn to install is valid and routable there, so each such
+    submit installs.  Each gets a vlan of its own, which keeps the intents'
+    traffic apart, so every INSTALLED leaf's walk can be checked while the
+    others are in place.  Invalid requests and submits to a full store are
+    refused and change nothing, which the invariants check.
     """
 
     ids = Bundle("ids")
@@ -870,18 +998,9 @@ class LifecycleModel(RuleBasedStateMachine):
         self.model[iid] = IntentState.INSTALLED
         return iid
 
-    @rule(
-        target=ids,
-        kind=st.sampled_from((PointToPoint, SingleToMultiPoint, MultiToSinglePoint)),
-        points=st.lists(_point, min_size=2, max_size=4, unique=True),
-    )
+    @rule(target=ids, kind=_KINDS, points=_DISTINCT_POINTS)
     def submit_points(self, kind, points):
-        first, *rest = points
-        if kind is PointToPoint:
-            return self._submit(PointToPoint(first, rest[0]))
-        if kind is SingleToMultiPoint:
-            return self._submit(SingleToMultiPoint(first, frozenset(rest)))
-        return self._submit(MultiToSinglePoint(frozenset(rest), first))
+        return self._submit(_points_request(kind, points))
 
     @rule(target=ids, hosts=st.permutations(sorted(CHAIN.hosts)))
     def submit_host_pair(self, hosts):
@@ -895,6 +1014,23 @@ class LifecycleModel(RuleBasedStateMachine):
         if isinstance(request, HostToHost):
             return self._submit_pair(request)
         return self._submit(request)
+
+    @rule(request=INVALID_REQUESTS)
+    def submit_invalid(self, request):
+        with pytest.raises(IntentValidationError):
+            self.ctrl.submit(request, selector=TrafficSelector(vlan=self.vlan + 1))
+
+    @rule(iid=ids, kind=_KINDS, points=_DISTINCT_POINTS)
+    def submit_at_capacity(self, iid, kind, points):
+        """Resubmit a known request (mostly a hit) or a new one (a miss) to a
+        store bounded at its live count."""
+        request = self.ctrl.get(iid).request if iid in self.model else _points_request(kind, points)
+        self.ctrl.store.capacity = self.ctrl.live_intents()
+        try:
+            with pytest.raises(StoreCapacityError):
+                self.ctrl.submit(request, selector=TrafficSelector(vlan=self.vlan + 1))
+        finally:
+            self.ctrl.store.capacity = None
 
     def _submit_pair(self, request):
         iid = self._submit(request)
