@@ -49,6 +49,8 @@ TRANSITIONS: dict[IntentState, tuple[IntentState, ...]] = {
     IntentState.FAILED: (),
     IntentState.WITHDRAWN: (),
 }
+# read on every submit and withdraw; an enum member lookup costs ~0.1 us
+_SUBMITTED, _COMPILING, _INSTALLING, _INSTALLED, _FAILED, _WITHDRAWN = IntentState
 
 
 class PointToPoint(FrozenRecord):
@@ -387,7 +389,7 @@ class IntentStore:
             request=request,
             selector=selector,
             priority=priority,
-            state=IntentState.SUBMITTED,
+            state=_SUBMITTED,
         )
         self._intents[intent.id] = intent
         self._live += 1
@@ -401,7 +403,7 @@ class IntentStore:
         intent.state = state
         if failure is not None:
             intent.failure = failure
-        if state in (IntentState.FAILED, IntentState.WITHDRAWN):
+        if state in (_FAILED, _WITHDRAWN):
             self._live -= 1
 
     def get(self, intent_id: int) -> Intent:
@@ -472,7 +474,7 @@ class Controller:
             if isinstance(request, HostToHost):
                 validate_request(self.topology, request)
                 intent = self.store.admit(request, selector, priority)
-                self.store.transition(intent, IntentState.COMPILING)
+                self.store.transition(intent, _COMPILING)
                 self._drive_host_to_host(intent)
                 return intent.id
 
@@ -491,16 +493,16 @@ class Controller:
                     del self._templates[request]
                     raise
                 self._spare = [None, 0]
-                self.store.transition(intent, IntentState.COMPILING)
+                self.store.transition(intent, _COMPILING)
                 try:
                     rules = self._compile(intent)
                 except (NoPathError, CompileError) as exc:
                     del self._templates[request]
-                    self.store.transition(intent, IntentState.FAILED, failure=str(exc))
+                    self.store.transition(intent, _FAILED, failure=str(exc))
                     return intent.id
             else:
                 intent = self.store.admit(request, selector, priority)
-                self.store.transition(intent, IntentState.COMPILING)
+                self.store.transition(intent, _COMPILING)
                 next_rule_id = self._next_rule_id
                 rules = [
                     FlowRule(
@@ -510,19 +512,19 @@ class Controller:
                     for r in entry[0]
                 ]
 
-            self.store.transition(intent, IntentState.INSTALLING)
+            self.store.transition(intent, _INSTALLING)
             try:
                 self.fabric.install_rules(rules)
             except (FabricError, ValueError) as exc:
                 if compiled:
                     del self._templates[request]
-                self.store.transition(intent, IntentState.FAILED, failure=str(exc))
+                self.store.transition(intent, _FAILED, failure=str(exc))
                 return intent.id
             if compiled:
                 entry[0] = rules
             entry[1] += 1
             intent.template = entry
-            self.store.transition(intent, IntentState.INSTALLED)
+            self.store.transition(intent, _INSTALLED)
             return intent.id
 
     def _compile(self, intent: Intent) -> list[FlowRule]:
@@ -571,16 +573,16 @@ class Controller:
             child_ids.append(child_id)
             child = self.store.get(child_id)
             child.parent_id = intent.id
-            if child.state is not IntentState.INSTALLED:
+            if child.state is not _INSTALLED:
                 failure = child.failure or "leg failed"
                 break
         intent.child_ids = tuple(child_ids)
         if failure is not None:
             self._remove(intent)
-            self.store.transition(intent, IntentState.FAILED, failure=failure)
+            self.store.transition(intent, _FAILED, failure=failure)
             return
-        self.store.transition(intent, IntentState.INSTALLING)
-        self.store.transition(intent, IntentState.INSTALLED)
+        self.store.transition(intent, _INSTALLING)
+        self.store.transition(intent, _INSTALLED)
 
     def withdraw(self, intent_id: int) -> None:
         """Remove an INSTALLED intent's rules and mark it WITHDRAWN.
@@ -596,21 +598,21 @@ class Controller:
                     f"intent {intent_id} is a leg of host-to-host intent "
                     f"{intent.parent_id}; withdraw {intent.parent_id} instead"
                 )
-            if intent.state is not IntentState.INSTALLED:
+            if intent.state is not _INSTALLED:
                 raise IllegalStateError(
                     f"intent {intent_id} is {intent.state.value}, not INSTALLED"
                 )
             self._remove(intent)
-            self.store.transition(intent, IntentState.WITHDRAWN)
+            self.store.transition(intent, _WITHDRAWN)
 
     def _remove(self, intent: Intent) -> None:
         """Withdraw an intent's INSTALLED legs, then drop its own rules and its
         hold on its template, which goes when no INSTALLED leaf holds it."""
         for child_id in intent.child_ids or ():
             child = self.store.get(child_id)
-            if child.state is IntentState.INSTALLED:
+            if child.state is _INSTALLED:
                 self._remove(child)
-                self.store.transition(child, IntentState.WITHDRAWN)
+                self.store.transition(child, _WITHDRAWN)
         self.fabric.remove_rules(intent.id)
         entry = intent.template
         if entry is not None:
@@ -634,7 +636,7 @@ class Controller:
             intent = self.store.get(intent_id)
             if intent.child_ids:
                 return sum(self.rule_count(child) for child in intent.child_ids)
-            if intent.state is not IntentState.INSTALLED:
+            if intent.state is not _INSTALLED:
                 return 0
             return len(self.fabric.rules_of(intent_id))
 
