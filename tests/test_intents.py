@@ -57,6 +57,15 @@ def p2p_h1_h2():
     return PointToPoint(CP(D1, 1), CP(D3, 2))
 
 
+# (topology fixture, request): one request of each type that installs there
+ONE_OF_EACH_TYPE = [
+    ("star", PointToPoint(CP(D1, 1), CP(D3, 2))),
+    ("star", SingleToMultiPoint(CP(D1, 1), frozenset({CP(D2, 2), CP(D3, 2)}))),
+    ("star", MultiToSinglePoint(frozenset({CP(D1, 1), CP(D2, 2)}), CP(D3, 2))),
+    ("chain3", HostToHost("h1", "h2")),
+]
+
+
 class TestStateMachine:
     def test_terminal_states_have_no_exits(self):
         assert TRANSITIONS[IntentState.FAILED] == ()
@@ -263,16 +272,7 @@ class TestStampPath:
             assert a.treatment is b.treatment
             assert a.selector is not b.selector  # each intent has its own
 
-    @pytest.mark.parametrize(
-        "topology, request_",
-        [
-            ("star", PointToPoint(CP(D1, 1), CP(D3, 2))),
-            ("star", SingleToMultiPoint(CP(D1, 1), frozenset({CP(D2, 2), CP(D3, 2)}))),
-            ("star", MultiToSinglePoint(frozenset({CP(D1, 1), CP(D2, 2)}), CP(D3, 2))),
-            ("chain3", HostToHost("h1", "h2")),
-        ],
-        ids=["P2P", "S2M", "M2S", "H2H"],
-    )
+    @pytest.mark.parametrize("topology, request_", ONE_OF_EACH_TYPE, ids=["P2P", "S2M", "M2S", "H2H"])
     def test_rules_hold_their_intents_selector(self, request, topology, request_):
         ctrl = Controller(request.getfixturevalue(topology))
         ctrl.submit(request_, selector=self.SELECTOR)
@@ -436,16 +436,7 @@ class TestTemplates:
             ctrl.installed_rules(),
         )
 
-    @pytest.mark.parametrize(
-        "topology, request_",
-        [
-            ("star", PointToPoint(CP(D1, 1), CP(D3, 2))),
-            ("star", SingleToMultiPoint(CP(D1, 1), frozenset({CP(D2, 2), CP(D3, 2)}))),
-            ("star", MultiToSinglePoint(frozenset({CP(D1, 1), CP(D2, 2)}), CP(D3, 2))),
-            ("chain3", HostToHost("h1", "h2")),
-        ],
-        ids=["P2P", "S2M", "M2S", "H2H"],
-    )
+    @pytest.mark.parametrize("topology, request_", ONE_OF_EACH_TYPE, ids=["P2P", "S2M", "M2S", "H2H"])
     def test_a_hit_is_not_validated(self, request, validations, topology, request_):
         ctrl = Controller(request.getfixturevalue(topology))
         first = ctrl.submit(request_)
@@ -510,16 +501,7 @@ class TestTemplates:
             assert self.snapshot(ctrl) == before
         assert reverse not in ctrl._templates
 
-    @pytest.mark.parametrize(
-        "topology, request_",
-        [
-            ("star", PointToPoint(CP(D1, 1), CP(D3, 2))),
-            ("star", SingleToMultiPoint(CP(D1, 1), frozenset({CP(D2, 2), CP(D3, 2)}))),
-            ("star", MultiToSinglePoint(frozenset({CP(D1, 1), CP(D2, 2)}), CP(D3, 2))),
-            ("chain3", HostToHost("h1", "h2")),
-        ],
-        ids=["P2P", "S2M", "M2S", "H2H"],
-    )
+    @pytest.mark.parametrize("topology, request_", ONE_OF_EACH_TYPE, ids=["P2P", "S2M", "M2S", "H2H"])
     def test_stamped_rules_equal_a_cold_compile(self, request, compiles, topology, request_):
         topo = request.getfixturevalue(topology)
         warm = Controller(topo)
