@@ -11,6 +11,8 @@ BENCHMARK.json names, each pair runs
 
 from the root of one side and then of the other, the parent first in even
 pairs, and reads each run's full record from that side's perfbench/out/.
+Besides the gated metrics, an untraced run also gives the ungated UNGATED
+metrics from perfbench's extras, where its workload reports them.
 After the pairs, TRACED_PAIRS alternating traced pairs (`--trace 1`) per
 workload record the per-layer split.  The file holds, per workload and
 metric, every run of each side, each side's median and quartiles, and the
@@ -35,6 +37,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 # one traced run per side cannot resolve a 10-20% change in one layer
 TRACED_PAIRS = 3
+# extras recorded beside the gated metrics, with which way is better: they
+# show how a throughput change splits between submits, withdraws and reads
+UNGATED = {"withdraw_p50_us": "lower", "read_p50_us": "lower"}
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -86,10 +91,12 @@ def side_summary(runs: list[float]) -> dict:
             "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
+def compare(parent: list[float], change: list[float], better: str, gated: bool) -> dict:
     ps, cs = side_summary(parent), side_summary(change)
     won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
     return {
+        "gated": gated,
+        "better": better,
         "parent": ps,
         "change": cs,
         "change_better_in_pairs": won,
@@ -129,10 +136,16 @@ def record_pairs(roots: dict, workload: str, args, gated: dict, sides_meta: dict
                 raw = rec["extras"].get(f"raw.{name}")
                 if raw is not None:
                     values[side].setdefault(f"raw.{name}", []).append(raw["value"])
+            for name in UNGATED:
+                extra = rec["extras"].get(name)
+                if extra is not None:
+                    values[side].setdefault(name, []).append(extra["value"])
             sides_meta[side] = {key: rec["meta"][key] for key in ("commit", "source_sha256")}
             sides_meta[side]["uncommitted_src"] = uncommitted_src(roots[side])
+    better = gated | UNGATED
     metrics = {
-        name: compare(values["parent"][name], values["change"][name], gated[name.removeprefix("raw.")])
+        name: compare(values["parent"][name], values["change"][name],
+                      better[name.removeprefix("raw.")], name in gated)
         for name in values["change"]
     }
     return {"seed": args.seed, "pairs": args.pairs, "first_in_pair": first, "failed": failed,
@@ -194,7 +207,9 @@ def main(argv=None) -> int:
         "host_steal": {"cpu_ticks_before": before, "cpu_ticks_after": after,
                        "steal_pct": steal_pct(before, after)},
         "values": ("each run's metric is that run's own median (p50) or rate; median, q1 and q3 "
-                   "are taken over the runs of one side (statistics.quantiles, inclusive); in "
+                   "are taken over the runs of one side (statistics.quantiles, inclusive); "
+                   "`gated` is false for the raw.* twins and for extras BENCHMARK.json does not "
+                   "gate; in "
                    "trace1 a side's median, min and max are over its traced runs, and `calls` "
                    "holds each traced run's span call counts (perfbench's breakdown)"),
         "trace0": trace0,

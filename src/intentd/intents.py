@@ -28,7 +28,7 @@ from .fabric import (
     TrafficTreatment,
     TreatmentCache,
 )
-from .topology import ConnectPoint, FrozenRecord, Path, Record, Topology, host_mac, shortest_path
+from .topology import ConnectPoint, HashedRecord, Path, Record, Topology, host_mac, shortest_path
 
 
 class IntentState(enum.Enum):
@@ -38,6 +38,10 @@ class IntentState(enum.Enum):
     INSTALLED = "INSTALLED"
     FAILED = "FAILED"
     WITHDRAWN = "WITHDRAWN"
+
+    # members are singletons that compare by identity; Enum's own hash is a
+    # Python function, paid by every TRANSITIONS lookup
+    __hash__ = object.__hash__
 
 
 # allowed moves; FAILED and WITHDRAWN are terminal
@@ -53,40 +57,44 @@ TRANSITIONS: dict[IntentState, tuple[IntentState, ...]] = {
 _SUBMITTED, _COMPILING, _INSTALLING, _INSTALLED, _FAILED, _WITHDRAWN = IntentState
 
 
-class PointToPoint(FrozenRecord):
+class PointToPoint(HashedRecord):
     __slots__ = _fields = ("ingress", "egress")
     type_name = "P2P"
 
     def __init__(self, ingress: ConnectPoint, egress: ConnectPoint) -> None:
         object.__setattr__(self, "ingress", ingress)
         object.__setattr__(self, "egress", egress)
+        object.__setattr__(self, "_hash", hash(self._values))
 
 
-class SingleToMultiPoint(FrozenRecord):
+class SingleToMultiPoint(HashedRecord):
     __slots__ = _fields = ("ingress", "egresses")
     type_name = "S2M"
 
     def __init__(self, ingress: ConnectPoint, egresses: frozenset[ConnectPoint]) -> None:
         object.__setattr__(self, "ingress", ingress)
         object.__setattr__(self, "egresses", frozenset(egresses))
+        object.__setattr__(self, "_hash", hash(self._values))
 
 
-class MultiToSinglePoint(FrozenRecord):
+class MultiToSinglePoint(HashedRecord):
     __slots__ = _fields = ("ingresses", "egress")
     type_name = "M2S"
 
     def __init__(self, ingresses: frozenset[ConnectPoint], egress: ConnectPoint) -> None:
         object.__setattr__(self, "ingresses", frozenset(ingresses))
         object.__setattr__(self, "egress", egress)
+        object.__setattr__(self, "_hash", hash(self._values))
 
 
-class HostToHost(FrozenRecord):
+class HostToHost(HashedRecord):
     __slots__ = _fields = ("one", "two")
     type_name = "H2H"
 
     def __init__(self, one: str, two: str) -> None:
         object.__setattr__(self, "one", one)
         object.__setattr__(self, "two", two)
+        object.__setattr__(self, "_hash", hash(self._values))
 
 
 IntentRequest = Union[PointToPoint, SingleToMultiPoint, MultiToSinglePoint, HostToHost]
@@ -115,6 +123,8 @@ REQUEST_TYPES |= {cls.__name__: (cls, fields) for cls, fields in REQUEST_TYPES.v
 _POINT, _POINT_SET, _HOST = FieldKind.POINT, FieldKind.POINT_SET, FieldKind.HOST
 _COMMON_FIELDS = ("type", "priority", "selector")
 _SELECTOR_FIELDS = ("eth_src", "eth_dst", "vlan")
+# what a submit without a selector matches on; selectors are immutable, so all share one
+_DEFAULT_SELECTOR = TrafficSelector()
 
 
 def request_document(request: IntentRequest) -> dict:
@@ -174,7 +184,7 @@ def parse_intent_document(
     if extra:
         raise RequestSchemaError(f"unknown selector fields: {sorted(extra)}")
     try:
-        return request, priority, TrafficSelector(**selector)
+        return request, priority, TrafficSelector(**selector) if selector else _DEFAULT_SELECTOR
     except ValueError as exc:
         raise RequestSchemaError(str(exc)) from None
 
@@ -469,7 +479,7 @@ class Controller:
         intent.
         """
         if selector is None:
-            selector = TrafficSelector()
+            selector = _DEFAULT_SELECTOR
         with self._lock:
             if isinstance(request, HostToHost):
                 validate_request(self.topology, request)

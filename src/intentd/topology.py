@@ -72,8 +72,19 @@ class FrozenRecord(Record):
         return type(self), tuple([getattr(self, name) for name in self._fields])
 
 
+class HashedRecord(FrozenRecord):
+    """A FrozenRecord that is hashed often: its `__init__` stores the hash of
+    its fields in `_hash`, a slot that is not a field, so a copy or a pickle
+    rebuilds it under the hash seed of the process that loads it."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 @functools.total_ordering
-class ConnectPoint(FrozenRecord):
+class ConnectPoint(HashedRecord):
     """A (device, port) pair; the string form is '<deviceId>/<port>'.
     Points sort by device, then port."""
 
@@ -82,6 +93,7 @@ class ConnectPoint(FrozenRecord):
     def __init__(self, device: str, port: int) -> None:
         object.__setattr__(self, "device", device)
         object.__setattr__(self, "port", port)
+        object.__setattr__(self, "_hash", hash((device, port)))
 
     # written out, not inherited: points are the hot set and dict keys
     def __eq__(self, other: object) -> bool:
@@ -89,8 +101,7 @@ class ConnectPoint(FrozenRecord):
             return self.device == other.device and self.port == other.port
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.device, self.port))
+    __hash__ = HashedRecord.__hash__  # a class that defines __eq__ loses its inherited hash
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is ConnectPoint:

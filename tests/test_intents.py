@@ -266,11 +266,19 @@ class TestStampPath:
             assert r.packet_count == 0
 
     def test_compiled_rules_share_treatments(self, controller):
-        first = controller.fabric.rules_of(controller.submit(p2p_h1_h2()))
-        second = controller.fabric.rules_of(controller.submit(p2p_h1_h2()))
+        first_id, second_id = controller.submit(p2p_h1_h2()), controller.submit(p2p_h1_h2())
+        first = controller.fabric.rules_of(first_id)
+        second = controller.fabric.rules_of(second_id)
         for a, b in zip(first, second):
             assert a.treatment is b.treatment
-            assert a.selector is not b.selector  # each intent has its own
+            # each rule holds its own intent's selector
+            assert a.selector is controller.get(first_id).selector
+            assert b.selector is controller.get(second_id).selector
+
+    def test_submits_without_a_selector_share_one(self, controller):
+        first, second = controller.submit(p2p_h1_h2()), controller.submit(p2p_h1_h2())
+        assert controller.get(first).selector is controller.get(second).selector
+        assert controller.get(first).selector == TrafficSelector()
 
     @pytest.mark.parametrize("topology, request_", ONE_OF_EACH_TYPE, ids=["P2P", "S2M", "M2S", "H2H"])
     def test_rules_hold_their_intents_selector(self, request, topology, request_):
@@ -517,6 +525,8 @@ class TestTemplates:
             ids = sorted(r.rule_id for r in warm.fabric.rules_of(hit_leaf))
             assert ids == list(range(ids[0], ids[0] + len(ids)))
             assert all(r.owner_intent == hit_leaf for r in warm.fabric.rules_of(hit_leaf))
+            selector = warm.get(hit_leaf).selector
+            assert all(r.selector is selector for r in warm.fabric.rules_of(hit_leaf))
         assert template_users(warm) == {
             warm.get(leaf).request: 2 for leaf in leaves_of(warm, first)
         }

@@ -1,6 +1,9 @@
 """The model's value classes: equality, hashing, ordering and immutability."""
 import copy
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -68,6 +71,36 @@ class TestFrozen:
         value = make()
         for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert again == value and type(again) is type(value)
+
+
+# the classes that keep their hash in a slot, set by __init__
+KEPT_HASH = ("ConnectPoint", "PointToPoint", "SingleToMultiPoint", "MultiToSinglePoint", "HostToHost")
+
+# run under another hash seed: every unpickled value hashes as its fields do
+# there, and finds an equal value built there in a dict
+UNPICKLE_SCRIPT = """
+import pickle, sys
+from test_records import FROZEN
+for name, value in pickle.loads(sys.stdin.buffer.read()).items():
+    assert hash(value) == hash(value._values), name
+    assert {FROZEN[name][0](): name}.get(value) == name, name
+print(hash(("seed", 1)))
+"""
+
+
+def test_a_kept_hash_is_rebuilt_by_unpickling():
+    values = {name: FROZEN[name][0]() for name in KEPT_HASH}
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    path = os.pathsep.join(filter(None, (src, here, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", UNPICKLE_SCRIPT],
+        input=pickle.dumps(values), capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert int(done.stdout) != hash(("seed", 1))  # the two processes' seeds differ
 
 
 class TestEquality:
