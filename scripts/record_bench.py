@@ -11,8 +11,8 @@ BENCHMARK.json names, each pair runs
 
 from the root of one side and then of the other, the parent first in even
 pairs, and reads each run's full record from that side's perfbench/out/.
-Besides the gated metrics, an untraced run also gives the ungated UNGATED
-metrics from perfbench's extras, where its workload reports them.
+Beside the gated metrics, each untraced run also gives the UNGATED extras
+that its workload reports.
 After the pairs, TRACED_PAIRS alternating traced pairs (`--trace 1`) per
 workload record the per-layer split.  The file holds, per workload and
 metric, every run of each side, each side's median and quartiles, and the
@@ -208,8 +208,7 @@ def main(argv=None) -> int:
                        "steal_pct": steal_pct(before, after)},
         "values": ("each run's metric is that run's own median (p50) or rate; median, q1 and q3 "
                    "are taken over the runs of one side (statistics.quantiles, inclusive); "
-                   "`gated` is false for the raw.* twins and for extras BENCHMARK.json does not "
-                   "gate; in "
+                   "`gated` is false for the raw.* twins and the UNGATED extras; in "
                    "trace1 a side's median, min and max are over its traced runs, and `calls` "
                    "holds each traced run's span call counts (perfbench's breakdown)"),
         "trace0": trace0,

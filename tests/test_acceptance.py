@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see a PASS/FAIL verdict
 line per criterion.  The sweep behind criteria 2, 3, and 7 runs the full
-desk workload profile once and takes about 190-250 s on a 2-vCPU VM, up
+desk workload profile once and takes about 85-120 s on a 2-vCPU VM, up
 to 300 s while the host steals CPU time.
 """
 import csv
