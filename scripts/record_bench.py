@@ -15,8 +15,8 @@ Beside the gated metrics, each untraced run also gives the UNGATED extras
 that its workload reports.
 After the pairs, TRACED_PAIRS alternating traced pairs (`--trace 1`) per
 workload record the per-layer split.  The file holds, per workload and
-metric, every run of each side, each side's median and quartiles, and the
-pairs the change won; per traced run, every per-layer metric and the call
+metric, every run of each side, each side's median and quartiles, the
+pairs the change won, and each pair's change/parent ratio; per traced run, every per-layer metric and the call
 count of every span, with each side's median, min and max per metric; plus
 the commit and source digest of each side, nproc, the Python version and
 the host's steal time from /proc/stat over the whole recording.
@@ -91,6 +91,17 @@ def side_summary(runs: list[float]) -> dict:
             "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
+def pair_ratio(parent: list[float], change: list[float]) -> dict | None:
+    """change/parent of each pair, with their median, min and max; None if a
+    parent run reads 0.  Both sides of a pair share the host's drift, so these
+    show a change that the parent's unpaired spread would hide."""
+    if not all(parent):
+        return None
+    ratios = [round(c / p, 4) for p, c in zip(parent, change)]
+    return {"pairs": ratios, "median": round(statistics.median(ratios), 4),
+            "min": min(ratios), "max": max(ratios)}
+
+
 def compare(parent: list[float], change: list[float], better: str, gated: bool) -> dict:
     ps, cs = side_summary(parent), side_summary(change)
     won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
@@ -102,6 +113,7 @@ def compare(parent: list[float], change: list[float], better: str, gated: bool) 
         "change_better_in_pairs": won,
         "median_change_pct": round(100 * (cs["median"] / ps["median"] - 1), 2) if ps["median"] else None,
         "parent_iqr": round(ps["q3"] - ps["q1"], 4),
+        "pair_ratio": pair_ratio(parent, change),
     }
 
 
@@ -208,6 +220,10 @@ def main(argv=None) -> int:
                        "steal_pct": steal_pct(before, after)},
         "values": ("each run's metric is that run's own median (p50) or rate; median, q1 and q3 "
                    "are taken over the runs of one side (statistics.quantiles, inclusive); "
+                   "`pair_ratio` holds each pair's change/parent ratio, in pair order, and their "
+                   "median, min and max (null if a parent run reads 0): both sides of a pair "
+                   "share the host's drift, so these show whether the change moved a metric "
+                   "even when the unpaired parent IQR is wide; "
                    "`gated` is false for the raw.* twins and the UNGATED extras; in "
                    "trace1 a side's median, min and max are over its traced runs, and `calls` "
                    "holds each traced run's span call counts (perfbench's breakdown)"),

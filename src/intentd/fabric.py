@@ -103,14 +103,11 @@ class FlowRule(Record):
         owner_intent: int,
         priority: int = DEFAULT_PRIORITY,
         in_port: int | None = None,
-        packet_count: int = 0,
     ) -> None:
         if not 0 <= rule_id < 2**64:
             raise ValueError(f"rule_id out of 64-bit range: {rule_id}")
         if in_port is not None and in_port < 1:
             raise ValueError(f"in_port must be >= 1, got {in_port}")
-        if packet_count < 0:
-            raise ValueError("packet_count must be non-negative")
         self.rule_id = rule_id
         self.device = device
         self.selector = selector
@@ -118,7 +115,7 @@ class FlowRule(Record):
         self.owner_intent = owner_intent
         self.priority = priority
         self.in_port = in_port
-        self.packet_count = packet_count
+        self.packet_count = 0
         self.match_key = (in_port, selector.eth_src, selector.eth_dst, selector.vlan)
 
 
@@ -280,10 +277,6 @@ class Fabric:
         }
         self._ids: set[int] = set()
         self._by_owner: dict[int, list[FlowRule]] = {}
-
-    @property
-    def topology(self) -> Topology:
-        return self._topo
 
     def rule_count(self) -> int:
         return len(self._ids)

@@ -156,9 +156,7 @@ def _decode_field(kind: FieldKind, name: str, value: Any) -> Any:
         raise RequestSchemaError(str(exc)) from None
 
 
-def parse_intent_document(
-    doc: Any, *, extra_fields: tuple[str, ...] = ()
-) -> tuple[IntentRequest, int, TrafficSelector]:
+def parse_intent_document(doc: Any) -> tuple[IntentRequest, int, TrafficSelector]:
     """Strictly parse a request document into (request, priority, selector)."""
     if not isinstance(doc, dict):
         raise RequestSchemaError("request body must be a JSON object")
@@ -166,7 +164,7 @@ def parse_intent_document(
     if not isinstance(type_name, str) or type_name not in REQUEST_TYPES:
         raise RequestSchemaError(f"type must be one of {sorted(REQUEST_TYPES)}")
     cls, fields = REQUEST_TYPES[type_name]
-    extra = set(doc) - set(fields) - set(_COMMON_FIELDS) - set(extra_fields)
+    extra = set(doc) - set(fields) - set(_COMMON_FIELDS)
     if extra:
         raise RequestSchemaError(f"unknown fields: {sorted(extra)}")
     missing = [name for name in fields if name not in doc]

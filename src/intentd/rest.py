@@ -21,13 +21,10 @@ from .errors import (
     UnknownIntentError,
     UnreachableEndpointError,
 )
-from .intents import Controller, IntentState, intent_document, parse_intent_document
+from .intents import Controller, intent_document, parse_intent_document
 
 # a request announcing a longer body is refused with 413 before any of it is read
 MAX_BODY_BYTES = 1 << 20
-# a larger /intents/batch count is a 400, so one request cannot hold a handler
-# thread, or grow the store, without bound
-MAX_BATCH_COUNT = 20_000
 
 
 class BodyTooLargeError(RequestSchemaError):
@@ -135,8 +132,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
         raise NoSuchRouteError(f"no such route: {self.command} {self.path}")
 
     def do_POST(self) -> None:
-        routes = {"/intents": self._post_intent, "/intents/batch": self._post_batch}
-        self._serve(routes.get(self.path, self._no_route))
+        self._serve(self._post_intent if self.path == "/intents" else self._no_route)
 
     def _close_if_body(self) -> None:
         """GET and DELETE read no body, so one that a request declares would
@@ -163,31 +159,6 @@ class _ApiHandler(BaseHTTPRequestHandler):
         request, priority, selector = parse_intent_document(self._read_json())
         intent_id = controller.submit(request, priority=priority, selector=selector)
         return 201, intent_document(controller, controller.get(intent_id))
-
-    def _post_batch(self) -> tuple[int, Any]:
-        controller = self.controller
-        doc = self._read_json()
-        request, priority, selector = parse_intent_document(doc, extra_fields=("count",))
-        count = doc.get("count")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise RequestSchemaError("count must be a positive integer")
-        if count > MAX_BATCH_COUNT:
-            raise RequestSchemaError(f"count {count} exceeds the limit of {MAX_BATCH_COUNT}")
-        installed = failed = 0
-        try:
-            for _ in range(count):
-                intent_id = controller.submit(
-                    request, priority=priority, selector=selector
-                )
-                if controller.get(intent_id).state is IntentState.INSTALLED:
-                    installed += 1
-                else:
-                    failed += 1
-        except StoreCapacityError:
-            if installed + failed == 0:
-                raise
-            # a store that fills part way through is a partial success
-        return 201, {"submitted": installed + failed, "installed": installed, "failed": failed}
 
     def _health(self) -> tuple[int, Any]:
         controller = self.controller
@@ -292,9 +263,6 @@ class RestClient:
 
     def post_intent(self, doc: dict | bytes) -> tuple[int, Any]:
         return self.request("POST", "/intents", doc)
-
-    def post_batch(self, doc: dict) -> tuple[int, Any]:
-        return self.request("POST", "/intents/batch", doc)
 
     def get_intents(self) -> tuple[int, Any]:
         return self.request("GET", "/intents")

@@ -10,7 +10,6 @@ import pytest
 from intentd.errors import UnreachableEndpointError
 from intentd.intents import Controller
 from intentd.rest import (
-    MAX_BATCH_COUNT,
     MAX_BODY_BYTES,
     RestClient,
     RestServer,
@@ -110,10 +109,11 @@ class TestSubmitRoute:
         _, client = rest
         assert client.request("POST", "/nope", p2p_doc())[0] == 404
 
-    def test_unknown_route_body_is_not_read_as_the_next_request(self, rest):
+    @pytest.mark.parametrize("path", ["/nope", "/intents/batch"])
+    def test_unknown_route_body_is_not_read_as_the_next_request(self, rest, path):
         _, client = rest
-        status, body = client.request("POST", "/nope", p2p_doc())
-        assert (status, body["error"]) == (404, "no such route: POST /nope")
+        status, body = client.request("POST", path, p2p_doc())
+        assert (status, body["error"]) == (404, f"no such route: POST {path}")
         assert client.health() == (200, {"intents_live": 0, "rules_installed": 0})
 
 
@@ -218,7 +218,6 @@ class TestMalformedRequests:
              + b"9" * 5000 + b"\r\n\r\n", 413),
             # json.loads refuses an integer of more than 4300 digits
             (raw_request("POST", b"/intents", long_integer_doc("priority")), 400),
-            (raw_request("POST", b"/intents/batch", long_integer_doc("count")), 400),
             # well formed, but it names its ingress again among the egresses
             (raw_request("POST", b"/intents", json.dumps(
                 {"type": "S2M", "ingress": f"{D1}/1", "egresses": [f"{D3}/2", f"{D1}/1"]}
@@ -226,7 +225,7 @@ class TestMalformedRequests:
         ],
         ids=["deep-nesting", "not-utf8", "get-long-id", "delete-long-id",
              "get-superscript-id", "delete-superscript-id", "get-zero-padded-id",
-             "delete-zero-padded-id", "long-length", "long-priority", "long-count",
+             "delete-zero-padded-id", "long-length", "long-priority",
              "s2m-ingress-among-egresses"],
     )
     def test_answered_with_a_status_line(self, rest, request_bytes, status):
@@ -416,42 +415,6 @@ class TestClientSendsOnce:
             thread.join(timeout=5)
             listener.close()
         assert received == [b"POST /intents HTTP/1.1"]
-
-
-class TestBatchRoute:
-    def test_counts_reported(self, rest):
-        ctrl, client = rest
-        status, body = client.post_batch(p2p_doc(count=4))
-        assert status == 201
-        assert body == {"submitted": 4, "installed": 4, "failed": 0}
-        assert ctrl.installed_rules() == 12
-
-    def test_count_required_and_positive(self, rest):
-        _, client = rest
-        assert client.post_batch(p2p_doc())[0] == 400
-        assert client.post_batch(p2p_doc(count=0))[0] == 400
-        status, body = client.post_batch(p2p_doc(count=MAX_BATCH_COUNT + 1))
-        assert (status, str(MAX_BATCH_COUNT) in body["error"]) == (400, True)
-
-    def test_capacity_mid_batch_reports_partial(self, chain3):
-        server = RestServer(Controller(chain3, capacity=2), "127.0.0.1", 0).start()
-        client = RestClient(server.host, server.port)
-        try:
-            status, body = client.post_batch(p2p_doc(count=5))
-            assert status == 201
-            assert body == {"submitted": 2, "installed": 2, "failed": 0}
-        finally:
-            client.close()
-            server.stop()
-
-    def test_capacity_before_first_is_409(self, chain3):
-        server = RestServer(Controller(chain3, capacity=0), "127.0.0.1", 0).start()
-        client = RestClient(server.host, server.port)
-        try:
-            assert client.post_batch(p2p_doc(count=3))[0] == 409
-        finally:
-            client.close()
-            server.stop()
 
 
 class TestServerLifecycle:
