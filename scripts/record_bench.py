@@ -16,10 +16,11 @@ that its workload reports.
 After the pairs, TRACED_PAIRS alternating traced pairs (`--trace 1`) per
 workload record the per-layer split.  The file holds, per workload and
 metric, every run of each side, each side's median and quartiles, the
-pairs the change won, and each pair's change/parent ratio; per traced run, every per-layer metric and the call
-count of every span, with each side's median, min and max per metric; plus
-the commit and source digest of each side, nproc, the Python version and
-the host's steal time from /proc/stat over the whole recording.
+pairs the change won, and each pair's change/parent ratio; per traced run,
+every per-layer metric and the call count of every span, with each side's
+median, min and max per metric; plus the commit and source digest of each
+side, nproc, the Python version and the host's steal time from /proc/stat
+over the whole recording.
 Only the standard library is used.
 """
 from __future__ import annotations
