@@ -12,7 +12,8 @@ BENCHMARK.json names, each pair runs
 from the root of one side and then of the other, the parent first in even
 pairs, and reads each run's full record from that side's perfbench/out/.
 Beside the gated metrics, each untraced run also gives the UNGATED extras
-that its workload reports.
+that its workload reports, and its set-up samples (raw and scaled), whose
+median is that run's setup_s.
 After the pairs, TRACED_PAIRS alternating traced pairs (`--trace 1`) per
 workload record the per-layer split.  The file holds, per workload and
 metric, every run of each side, each side's median and quartiles, the
@@ -131,6 +132,7 @@ def uncommitted_src(root: str) -> bool | None:
 def record_pairs(roots: dict, workload: str, args, gated: dict, sides_meta: dict) -> dict:
     """`args.pairs` alternating untraced pairs; fills `sides_meta` from the records."""
     values: dict = {side: {} for side in SIDES}
+    setups: dict = {side: [] for side in SIDES}
     failed = dict.fromkeys(SIDES, 0)
     attempted = dict.fromkeys(SIDES, 0)
     first, correct = [], True
@@ -141,6 +143,8 @@ def record_pairs(roots: dict, workload: str, args, gated: dict, sides_meta: dict
             rec = run_once(roots[side], workload, args.seed, args.seconds, 0)
             print(f"{workload} pair {pair} {side}: "
                   + " ".join(f"{m}={rec['metrics'][m]['value']:.4g}" for m in gated), flush=True)
+            setups[side].append({"raw": [round(raw, 6) for raw, _ in rec["setup_samples_s"]],
+                                 "scaled": [round(scaled, 6) for _, scaled in rec["setup_samples_s"]]})
             failed[side] += rec["failed"]
             attempted[side] += rec["attempted"]
             correct = correct and not rec["failed"] and not rec["invariant_errors"]
@@ -162,7 +166,8 @@ def record_pairs(roots: dict, workload: str, args, gated: dict, sides_meta: dict
         for name in values["change"]
     }
     return {"seed": args.seed, "pairs": args.pairs, "first_in_pair": first, "failed": failed,
-            "attempted": attempted, "correct": correct, "metrics": metrics}
+            "attempted": attempted, "correct": correct, "metrics": metrics,
+            "setup_samples_s": setups}
 
 
 def record_traced(roots: dict, workload: str, args) -> dict:
@@ -225,7 +230,9 @@ def main(argv=None) -> int:
                    "median, min and max (null if a parent run reads 0): both sides of a pair "
                    "share the host's drift, so these show whether the change moved a metric "
                    "even when the unpaired parent IQR is wide; "
-                   "`gated` is false for the raw.* twins and the UNGATED extras; in "
+                   "`gated` is false for the raw.* twins and the UNGATED extras; "
+                   "`setup_samples_s` holds each untraced run's set-ups, in pair order, raw "
+                   "and scaled, so a setup_s median shows its within-run spread; in "
                    "trace1 a side's median, min and max are over its traced runs, and `calls` "
                    "holds each traced run's span call counts (perfbench's breakdown)"),
         "trace0": trace0,

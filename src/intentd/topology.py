@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import json
 import re
 from operator import attrgetter
@@ -182,8 +181,9 @@ class Topology:
             if not DEVICE_ID_RE.match(dev):
                 raise TopologyValidationError(f"bad device id {dev!r}")
             port_list = list(ports)
-            if any((not isinstance(p, int)) or p < 1 for p in port_list):
-                raise TopologyValidationError(f"device {dev} has a port < 1")
+            # a bool is an int, but true would name port 1 as `True`
+            if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in port_list):
+                raise TopologyValidationError(f"device {dev} has a port that is not an integer >= 1")
             if len(port_list) != len(set(port_list)):
                 raise TopologyValidationError(f"device {dev} lists a port twice")
             self._ports[dev] = frozenset(port_list)
@@ -227,8 +227,10 @@ class Topology:
         for dev, out in by_src.items():
             self._adjacency[dev] = tuple(out)
 
-        # shortest_path's memo: (src, dst) -> Path, at most one per device
-        # pair.  Two threads missing on one pair compute the same frozen Path.
+        # shortest_path's memos: src -> {dst: links}, one search per source
+        # device, and (src, dst) -> Path, at most one per device pair.  Two
+        # threads missing on one source or pair compute equal values.
+        self._trees: dict[str, dict[str, tuple[Link, ...]]] = {}
         self._paths: dict[tuple[str, str], Path] = {}
 
     @property
@@ -382,51 +384,53 @@ def shortest_path(topo: Topology, src: str, dst: str) -> Path:
 
     Ties are broken toward the lexicographically smallest device-id sequence
     (then smallest egress ports), so repeated calls agree and unions of
-    paths from one source form a tree.  The topology is immutable, so each
-    path is searched once and then served from the topology's memo;
+    paths from one source form a tree.  The topology is immutable, so the
+    first miss on a source searches that source's whole tree once, which
+    then serves every destination; each Path is built the first time its
+    pair is asked for and served from the topology's memo afterwards.
     NoPathError is raised afresh on every call.
     """
+    path = topo._paths.get((src, dst))
+    if path is not None:  # a hit: both devices exist
+        return path
     if not topo.has_device(src):
         raise UnknownDeviceError(f"unknown device {src}")
     if not topo.has_device(dst):
         raise UnknownDeviceError(f"unknown device {dst}")
-    path = topo._paths.get((src, dst))
-    if path is None:
-        path = topo._paths[src, dst] = _search_path(topo, src, dst)
+    tree = topo._trees.get(src)
+    if tree is None:
+        tree = topo._trees[src] = _search_tree(topo, src)
+    links = tree.get(dst)
+    if links is None:
+        raise NoPathError(f"no path from {src} to {dst}")
+    path = topo._paths[src, dst] = Path(links)
     return path
 
 
-def _search_path(topo: Topology, src: str, dst: str) -> Path:
-    """Dijkstra over (cost, device sequence, port sequence) for shortest_path."""
-    if src == dst:
-        return Path(())
+def _search_tree(topo: Topology, src: str) -> dict[str, tuple[Link, ...]]:
+    """Dijkstra over (cost, device sequence, port sequence) for shortest_path:
+    the links to every device reachable from src, src itself included.
 
-    counter = itertools.count()
-    heap: list[tuple] = [(0.0, (src,), (), next(counter), ())]
-    visited: set[str] = set()
+    A heap entry carries the link that reaches its device; the device's
+    links are its predecessor's finished links plus that link.  No two
+    entries share a device sequence and a port sequence (one link leaves a
+    port), so the key alone orders the heap and the link is never compared.
+    """
+    tree: dict[str, tuple[Link, ...]] = {}
+    heap: list[tuple] = [(0.0, (src,), (), None)]
+    out_links = topo._adjacency
+    heappush, heappop = heapq.heappush, heapq.heappop
     while heap:
-        cost, dev_seq, port_seq, _, links = heapq.heappop(heap)
+        cost, dev_seq, port_seq, link = heappop(heap)
         device = dev_seq[-1]
-        if device in visited:
+        if device in tree:
             continue
-        visited.add(device)
-        if device == dst:
-            return Path(links)
-        for link in topo.out_links(device):
-            nxt = link.dst.device
-            if nxt in visited:
-                continue
-            heapq.heappush(
-                heap,
-                (
-                    cost + link.weight,
-                    dev_seq + (nxt,),
-                    port_seq + (link.src.port,),
-                    next(counter),
-                    links + (link,),
-                ),
-            )
-    raise NoPathError(f"no path from {src} to {dst}")
+        tree[device] = () if link is None else tree[link.src.device] + (link,)
+        for out in out_links[device]:
+            nxt = out.dst.device
+            if nxt not in tree:
+                heappush(heap, (cost + out.weight, dev_seq + (nxt,), port_seq + (out.src.port,), out))
+    return tree
 
 
 # Five switches in a line, four ports each; ports 1 and 2 on the ends of the

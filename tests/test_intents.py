@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, multiple, rule
 
 from intentd import intents
+from intentd import topology as topology_module
 from intentd.errors import (
     FabricError,
     IllegalStateError,
@@ -166,7 +167,45 @@ class TestValidation:
         assert controller.live_intents() == 0
 
 
+@pytest.fixture
+def tree_searches(monkeypatch) -> list[str]:
+    """The source device of every shortest-path tree search."""
+    sources = []
+    search = topology_module._search_tree
+    monkeypatch.setattr(
+        topology_module, "_search_tree", lambda topo, src: sources.append(src) or search(topo, src)
+    )
+    return sources
+
+
 class TestCompilation:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cold_fan_out_searches_once(self, tree_searches, seed):
+        # k egresses on k devices, none on the ingress device: one tree serves them all
+        rng = random.Random(seed)
+        topo = random_topology(rng)
+        by_device: dict[str, list[ConnectPoint]] = {}
+        for cp in topo.edge_points():
+            by_device.setdefault(cp.device, []).append(cp)
+        ingress_device, *others = rng.sample(sorted(by_device), len(by_device))
+        egresses = frozenset(by_device[d][-1] for d in others[:4])
+        ctrl = Controller(topo)
+        iid = ctrl.submit(SingleToMultiPoint(by_device[ingress_device][0], egresses))
+        assert ctrl.get(iid).state is IntentState.INSTALLED
+        assert tree_searches == [ingress_device]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cold_fan_in_searches_once_per_ingress_device(self, tree_searches, seed):
+        rng = random.Random(seed)
+        topo = random_topology(rng)
+        points = list(topo.edge_points())
+        egress = rng.choice(points)
+        ingresses = frozenset(rng.sample([p for p in points if p != egress], min(5, len(points) - 1)))
+        ctrl = Controller(topo)
+        iid = ctrl.submit(MultiToSinglePoint(ingresses, egress))
+        assert ctrl.get(iid).state is IntentState.INSTALLED
+        assert sorted(tree_searches) == sorted({cp.device for cp in ingresses})
+
     def test_chain_p2p_one_rule_per_device(self, controller):
         iid = controller.submit(p2p_h1_h2())
         intent = controller.get(iid)

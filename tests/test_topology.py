@@ -2,6 +2,8 @@
 import json
 import random
 
+from intentd import topology as topology_module
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,12 +117,18 @@ class TestLoading:
             ({"id": D1, "ports": 5}, f"{D1} ports"),
             ({"id": 5, "ports": [1]}, "'id': 5"),
             ({"id": D1, "ports": [[1]]}, f"{D1} has a port"),
+            ({"id": D1, "ports": [True, 2]}, f"{D1} has a port"),
         ],
-        ids=["ports-not-a-list", "id-not-a-string", "port-not-an-integer"],
+        ids=["ports-not-a-list", "id-not-a-string", "port-not-an-integer", "port-a-boolean"],
     )
     def test_wrongly_typed_device_names_the_entry(self, device, named):
         with pytest.raises(TopologyValidationError, match=named):
             load_topology({"devices": [device]})
+
+    @pytest.mark.parametrize("port", [True, False])
+    def test_boolean_port_rejected_by_the_constructor(self, port):
+        with pytest.raises(TopologyValidationError, match=f"{D1} has a port"):
+            Topology({D1: [port, 2]}, [])
 
     @pytest.mark.parametrize(
         "doc",
@@ -281,6 +289,75 @@ class TestShortestPath:
                 shortest_path(topo, src, dst)
         else:
             assert shortest_path(topo, src, dst).links == tuple(expected)
+
+
+@pytest.fixture
+def searches(monkeypatch) -> list[tuple]:
+    """The (topology, source) of every tree search, counted through the
+    module attribute that shortest_path calls."""
+    calls = []
+    search = topology_module._search_tree
+    monkeypatch.setattr(
+        topology_module, "_search_tree", lambda *args: calls.append(args) or search(*args)
+    )
+    return calls
+
+
+def parallel_pair() -> Topology:
+    """d1 and d2 joined by two equal links, d1/1-d2/2 and d1/2-d2/1; d2/3-d3/1."""
+    return Topology(
+        {D1: [1, 2], D2: [1, 2, 3], D3: [1]},
+        [
+            Link(ConnectPoint(D1, 2), ConnectPoint(D2, 1)),
+            Link(ConnectPoint(D1, 1), ConnectPoint(D2, 2)),
+            Link(ConnectPoint(D2, 3), ConnectPoint(D3, 1)),
+        ],
+    )
+
+
+class TestSearchTree:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_search_per_source_over_all_pairs(self, searches, seed):
+        topo = random_topology(random.Random(seed), max_devices=12, max_links=24)
+        for src in topo.device_ids:
+            for dst in topo.device_ids:
+                shortest_path(topo, src, dst)
+        assert sorted(src for _, src in searches) == list(topo.device_ids)
+        assert all(searched is topo for searched, _ in searches)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_every_destination_from_one_tree_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        topo = random_topology(rng, weighted=True)
+        src = rng.choice(topo.device_ids)
+        destinations = list(topo.device_ids)
+        rng.shuffle(destinations)
+        for dst in destinations:
+            assert shortest_path(topo, src, dst).links == tuple(brute_force_path(topo, src, dst))
+
+    @pytest.mark.parametrize("first", [D2, D3], ids=["d2-first", "d3-first"])
+    def test_smaller_egress_port_wins_between_parallel_links(self, searches, first):
+        topo = parallel_pair()
+        shortest_path(topo, D1, first)
+        assert [l.src for l in shortest_path(topo, D1, D2).links] == [ConnectPoint(D1, 1)]
+        assert [l.src for l in shortest_path(topo, D1, D3).links] == [
+            ConnectPoint(D1, 1), ConnectPoint(D2, 3)
+        ]
+        assert len(searches) == 1
+
+    def test_no_path_raises_on_every_call_and_is_not_memoised(self, searches):
+        # d1 - d2 linked, d3 isolated
+        topo = Topology(
+            {D1: [1, 2], D2: [1, 2], D3: [1]},
+            [Link(ConnectPoint(D1, 2), ConnectPoint(D2, 1))],
+        )
+        shortest_path(topo, D1, D2)
+        for _ in range(3):
+            with pytest.raises(NoPathError):
+                shortest_path(topo, D1, D3)
+        assert (D1, D3) not in topo._paths
+        assert len(searches) == 1
 
 
 class TestPathType:
