@@ -1,5 +1,6 @@
 import pytest
 
+from intentd import topology
 from intentd.intents import Controller
 from intentd.rest import RestClient, RestServer
 from intentd.topology import Topology, device_id, load_topology
@@ -48,6 +49,18 @@ def star() -> Topology:
             ],
         }
     )
+
+
+@pytest.fixture
+def tree_searches(monkeypatch) -> list[str]:
+    """The source device of every shortest-path tree search, counted through
+    the module attribute that shortest_path calls."""
+    sources = []
+    search = topology._search_tree
+    monkeypatch.setattr(
+        topology, "_search_tree", lambda topo, src: sources.append(src) or search(topo, src)
+    )
+    return sources
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, multiple, rule
 
 from intentd import intents
-from intentd import topology as topology_module
 from intentd.errors import (
     FabricError,
     IllegalStateError,
@@ -165,17 +164,6 @@ class TestValidation:
             controller.submit(PointToPoint(CP(D1, 1), CP(D1, 1)))
         assert controller.list() == []
         assert controller.live_intents() == 0
-
-
-@pytest.fixture
-def tree_searches(monkeypatch) -> list[str]:
-    """The source device of every shortest-path tree search."""
-    sources = []
-    search = topology_module._search_tree
-    monkeypatch.setattr(
-        topology_module, "_search_tree", lambda topo, src: sources.append(src) or search(topo, src)
-    )
-    return sources
 
 
 class TestCompilation:

@@ -2,8 +2,6 @@
 import json
 import random
 
-from intentd import topology as topology_module
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -291,18 +289,6 @@ class TestShortestPath:
             assert shortest_path(topo, src, dst).links == tuple(expected)
 
 
-@pytest.fixture
-def searches(monkeypatch) -> list[tuple]:
-    """The (topology, source) of every tree search, counted through the
-    module attribute that shortest_path calls."""
-    calls = []
-    search = topology_module._search_tree
-    monkeypatch.setattr(
-        topology_module, "_search_tree", lambda *args: calls.append(args) or search(*args)
-    )
-    return calls
-
-
 def parallel_pair() -> Topology:
     """d1 and d2 joined by two equal links, d1/1-d2/2 and d1/2-d2/1; d2/3-d3/1."""
     return Topology(
@@ -317,13 +303,12 @@ def parallel_pair() -> Topology:
 
 class TestSearchTree:
     @pytest.mark.parametrize("seed", range(20))
-    def test_one_search_per_source_over_all_pairs(self, searches, seed):
+    def test_one_search_per_source_over_all_pairs(self, tree_searches, seed):
         topo = random_topology(random.Random(seed), max_devices=12, max_links=24)
         for src in topo.device_ids:
             for dst in topo.device_ids:
                 shortest_path(topo, src, dst)
-        assert sorted(src for _, src in searches) == list(topo.device_ids)
-        assert all(searched is topo for searched, _ in searches)
+        assert sorted(tree_searches) == list(topo.device_ids)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 100_000))
@@ -337,16 +322,16 @@ class TestSearchTree:
             assert shortest_path(topo, src, dst).links == tuple(brute_force_path(topo, src, dst))
 
     @pytest.mark.parametrize("first", [D2, D3], ids=["d2-first", "d3-first"])
-    def test_smaller_egress_port_wins_between_parallel_links(self, searches, first):
+    def test_smaller_egress_port_wins_between_parallel_links(self, tree_searches, first):
         topo = parallel_pair()
         shortest_path(topo, D1, first)
         assert [l.src for l in shortest_path(topo, D1, D2).links] == [ConnectPoint(D1, 1)]
         assert [l.src for l in shortest_path(topo, D1, D3).links] == [
             ConnectPoint(D1, 1), ConnectPoint(D2, 3)
         ]
-        assert len(searches) == 1
+        assert tree_searches == [D1]
 
-    def test_no_path_raises_on_every_call_and_is_not_memoised(self, searches):
+    def test_no_path_raises_on_every_call_and_is_not_memoised(self, tree_searches):
         # d1 - d2 linked, d3 isolated
         topo = Topology(
             {D1: [1, 2], D2: [1, 2], D3: [1]},
@@ -357,7 +342,7 @@ class TestSearchTree:
             with pytest.raises(NoPathError):
                 shortest_path(topo, D1, D3)
         assert (D1, D3) not in topo._paths
-        assert len(searches) == 1
+        assert tree_searches == [D1]
 
 
 class TestPathType:
