@@ -119,6 +119,11 @@ def compare(parent: list[float], change: list[float], better: str, gated: bool) 
     }
 
 
+def opposite(a: float | None, b: float | None) -> bool:
+    """Whether two median changes point opposite ways; a 0 or a None points none."""
+    return a is not None and b is not None and a * b < 0
+
+
 def uncommitted_src(root: str) -> bool | None:
     """Whether src/ differs from the checkout's commit; None without git."""
     try:
@@ -165,6 +170,11 @@ def record_pairs(roots: dict, workload: str, args, gated: dict, sides_meta: dict
                       better[name.removeprefix("raw.")], name in gated)
         for name in values["change"]
     }
+    for name in gated:
+        raw = metrics.get(f"raw.{name}")
+        if raw is not None:
+            metrics[name]["scaled_and_raw_disagree"] = opposite(
+                metrics[name]["median_change_pct"], raw["median_change_pct"])
     return {"seed": args.seed, "pairs": args.pairs, "first_in_pair": first, "failed": failed,
             "attempted": attempted, "correct": correct, "metrics": metrics,
             "setup_samples_s": setups}
@@ -231,6 +241,10 @@ def main(argv=None) -> int:
                    "share the host's drift, so these show whether the change moved a metric "
                    "even when the unpaired parent IQR is wide; "
                    "`gated` is false for the raw.* twins and the UNGATED extras; "
+                   "`scaled_and_raw_disagree`, on a gated metric that has a raw.* twin, is "
+                   "true when the two median changes (`median_change_pct`) have opposite "
+                   "signs: then the speed scaling alone decides which way the gated metric "
+                   "moved; "
                    "`setup_samples_s` holds each untraced run's set-ups, in pair order, raw "
                    "and scaled, so a setup_s median shows its within-run spread; in "
                    "trace1 a side's median, min and max are over its traced runs, and `calls` "

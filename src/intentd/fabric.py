@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import deque
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DuplicateRuleError, LoopDetectedError, UnknownDeviceError
 from .topology import MAC_RE, ConnectPoint, FrozenRecord, Record, Topology
@@ -340,6 +340,54 @@ class Fabric:
             tables[rule.device].add(rule)
             by_owner[rule.owner_intent].append(rule)
         return len(rules)
+
+    def install_copy(
+        self,
+        like: Sequence[FlowRule],
+        owner_intent: int,
+        selector: TrafficSelector,
+        priority: int,
+        next_rule_id: Callable[[], int],
+    ) -> int:
+        """Install a copy of `like` for a new owner, atomically; returns its size.
+
+        Each copy keeps its rule's device, treatment and in_port and takes a
+        fresh id from `next_rule_id`, `owner_intent`, `selector` and
+        `priority`.  Precondition: `like` is a batch that `install_rules`
+        accepted on this fabric, whose rules sit at distinct (device, in_port)
+        places.  Its devices and ports are then known, and the copies, which
+        share one owner, selector and priority, cannot share a match key, so
+        neither is checked again.  What a copy can change is: the owner must
+        not be live, the ids must be distinct and not live, and no match key
+        may be empty.  A batch that fails one of these goes to
+        `install_rules`, which raises what it raises for that batch.
+        """
+        copies = [
+            FlowRule(
+                next_rule_id(), rule.device, selector, rule.treatment, owner_intent, priority,
+                rule.in_port,
+            )
+            for rule in like
+        ]
+        ids, by_owner = self._ids, self._by_owner
+        new_ids = {rule.rule_id for rule in copies}
+        if (
+            owner_intent in by_owner
+            or len(new_ids) != len(copies)
+            or not ids.isdisjoint(new_ids)
+            or not copies
+            or (
+                selector.eth_src is None and selector.eth_dst is None and selector.vlan is None
+                and any(rule.in_port is None for rule in copies)
+            )
+        ):
+            return self.install_rules(copies)
+        ids |= new_ids
+        by_owner[owner_intent] = copies
+        tables = self._tables
+        for rule in copies:
+            tables[rule.device].add(rule)
+        return len(copies)
 
     def remove_rules(self, owner_intent: int) -> int:
         """Remove every rule owned by the intent; unknown owners remove zero."""

@@ -441,7 +441,8 @@ class Controller:
     A request compiles once while it is live.  `_templates` maps each request
     that has an INSTALLED leaf to [rules, users]: the rules one such intent
     was compiled to, and how many INSTALLED leaves hold the entry.  An equal
-    request stamps its rules from that template instead of compiling.  The
+    request has the fabric install a copy of that template instead of
+    compiling (`Fabric.install_copy`).  The
     rules depend only on the request and the topology, which never changes,
     so an equal request is not validated again either.
     """
@@ -511,18 +512,16 @@ class Controller:
             else:
                 intent = self.store.admit(request, selector, priority)
                 self.store.transition(intent, _COMPILING)
-                next_rule_id = self._next_rule_id
-                rules = [
-                    FlowRule(
-                        next_rule_id(), r.device, selector, r.treatment, intent.id, priority,
-                        r.in_port,
-                    )
-                    for r in entry[0]
-                ]
 
             self.store.transition(intent, _INSTALLING)
             try:
-                self.fabric.install_rules(rules)
+                if compiled:
+                    self.fabric.install_rules(rules)
+                else:
+                    # entry[0] is set only once install_rules accepted it here
+                    self.fabric.install_copy(
+                        entry[0], intent.id, selector, priority, self._next_rule_id
+                    )
             except (FabricError, ValueError) as exc:
                 if compiled:
                     del self._templates[request]

@@ -1,6 +1,7 @@
 import pytest
 
 from intentd import topology
+from intentd.fabric import Fabric
 from intentd.intents import Controller
 from intentd.rest import RestClient, RestServer
 from intentd.topology import Topology, device_id, load_topology
@@ -61,6 +62,23 @@ def tree_searches(monkeypatch) -> list[str]:
         topology, "_search_tree", lambda topo, src: sources.append(src) or search(topo, src)
     )
     return sources
+
+
+@pytest.fixture
+def installs(monkeypatch) -> list[str]:
+    """The name of every fabric install call, in call order: `install_rules`
+    for a compiled batch, `install_copy` for a template hit (and then
+    `install_rules` too, when a copy falls back to it)."""
+    calls = []
+    for name in ("install_rules", "install_copy"):
+        method = getattr(Fabric, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(Fabric, name, counted)
+    return calls
 
 
 @pytest.fixture

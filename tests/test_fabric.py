@@ -479,6 +479,96 @@ class TestTupleSpaceMatch:
                 )
 
 
+class TestInstallCopy:
+    """`install_copy` against `install_rules` given the same copies, on twin
+    fabrics that hold one template batch (owner 1) and a rule of owner 2."""
+
+    TEMPLATE = TrafficSelector(eth_dst=_MACS[1])
+    OTHER = TrafficSelector(eth_src=_MACS[0], vlan=7)
+
+    @classmethod
+    def twin(cls, chain3, template_in_port=1):
+        fabric = Fabric(chain3)
+        fabric.install_rules([  # distinct (device, in_port) places, as a compiler makes them
+            FlowRule(1, D1, cls.TEMPLATE, TrafficTreatment((2,)), 1, 100, template_in_port),
+            FlowRule(2, D2, cls.TEMPLATE, TrafficTreatment((2,)), 1, 100, 1),
+            FlowRule(3, D2, cls.TEMPLATE, TrafficTreatment((1,)), 1, 100, 2),
+            FlowRule(4, D3, cls.TEMPLATE, TrafficTreatment((1, 2)), 1, 100, 1),
+        ])
+        fabric.install_rules([FlowRule(5, D1, cls.TEMPLATE, TrafficTreatment((2,)), 2, 150, 1)])
+        return fabric
+
+    @staticmethod
+    def copies(like, owner, selector, priority, rule_ids):
+        return [
+            FlowRule(rule_id, r.device, selector, r.treatment, owner, priority, r.in_port)
+            for rule_id, r in zip(rule_ids, like)
+        ]
+
+    @staticmethod
+    def observed(fabric):
+        """Everything a reader of the fabric can see, the walk's lookups included."""
+        devices = (D1, D2, D3)
+        return (
+            fabric.rule_count(),
+            {owner: fabric.rules_of(owner) for owner in (1, 2, 3)},
+            {device: fabric.rules_for(device) for device in devices},
+            [fabric._tables[device].match(*packet) for device in devices for packet in _PACKETS],
+        )
+
+    @staticmethod
+    def outcome(install):
+        try:
+            return install()
+        except (DuplicateRuleError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize(
+        "selector, priority",
+        [(TEMPLATE, 100), (OTHER, 100), (TEMPLATE, 300), (OTHER, 50)],
+        ids=["template-selector", "other-selector", "higher-priority", "lower-priority"],
+    )
+    def test_a_copy_installs_what_install_rules_would(self, chain3, selector, priority):
+        copied, installed = self.twin(chain3), self.twin(chain3)
+        like = copied.rules_of(1)
+        assert copied.install_copy(like, 3, selector, priority, iter(range(10, 99)).__next__) == 4
+        installed.install_rules(self.copies(like, 3, selector, priority, range(10, 99)))
+        assert self.observed(copied) == self.observed(installed)
+        assert [r.rule_id for r in copied.rules_of(3)] == [10, 11, 12, 13]
+        assert copied.remove_rules(3) == installed.remove_rules(3) == 4
+        assert self.observed(copied) == self.observed(installed) == self.observed(self.twin(chain3))
+
+    @pytest.mark.parametrize(
+        "owner, selector, priority, rule_ids, template_in_port, expected",
+        [
+            # a second controller on the same fabric reuses owner and rule ids
+            (2, TEMPLATE, 150, range(10, 99), 1,
+             (DuplicateRuleError, f"duplicate rule on {D1} (priority 150)")),
+            (2, OTHER, 100, range(10, 99), 1, 4),  # a live owner whose keys differ installs
+            (3, OTHER, 100, range(5, 99), 1, (DuplicateRuleError, "rule id 5 is already in use")),
+            (3, OTHER, 100, [20] * 4, 1, (DuplicateRuleError, "rule id 20 is already in use")),
+            # a template rule that matches any port, copied with no header field
+            (3, TrafficSelector(), 100, range(10, 99), None,
+             (ValueError, "rule 10 has an empty selector")),
+        ],
+        ids=["live-owner-clash", "live-owner-no-clash", "live-id", "repeated-id", "empty-match"],
+    )
+    def test_what_a_copy_can_change_is_checked_as_install_rules_checks_it(
+        self, chain3, owner, selector, priority, rule_ids, template_in_port, expected
+    ):
+        copied, installed = self.twin(chain3, template_in_port), self.twin(chain3, template_in_port)
+        like = copied.rules_of(1)
+        assert self.outcome(
+            lambda: installed.install_rules(self.copies(like, owner, selector, priority, rule_ids))
+        ) == expected
+        assert self.outcome(
+            lambda: copied.install_copy(like, owner, selector, priority, iter(rule_ids).__next__)
+        ) == expected
+        assert self.observed(copied) == self.observed(installed)
+        if expected != 4:  # a refused copy changes nothing
+            assert self.observed(copied) == self.observed(self.twin(chain3, template_in_port))
+
+
 class TestInject:
     def install_chain(self, fabric):
         sel = {"eth_dst": DEFAULT_HEADER.eth_dst}

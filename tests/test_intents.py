@@ -40,7 +40,7 @@ from intentd.intents import (
     parse_intent_document,
     request_document,
 )
-from intentd.topology import ConnectPoint, Topology, default_topology, device_id, host_mac
+from intentd.topology import ConnectPoint, Link, Topology, default_topology, device_id, host_mac
 from conftest import D1, D2, D3, HUB
 from randnet import (
     DEFAULT_HEADER,
@@ -414,18 +414,26 @@ def template_users(ctrl: Controller) -> dict:
 
 
 class InstallFails(Fabric):
-    """A fabric that refuses every batch from the `fail_from`-th call on."""
+    """A fabric that refuses every batch, compiled or copied, from the
+    `fail_from`-th install call on."""
 
     def __init__(self, topology, fail_from: int = 1) -> None:
         super().__init__(topology)
         self.fail_from = fail_from
         self.calls = 0
 
-    def install_rules(self, rules):
+    def _count(self) -> None:
         self.calls += 1
         if self.calls >= self.fail_from:
             raise FabricError("batch refused")
+
+    def install_rules(self, rules):
+        self._count()
         return super().install_rules(rules)
+
+    def install_copy(self, like, owner_intent, selector, priority, next_rule_id):
+        self._count()
+        return super().install_copy(like, owner_intent, selector, priority, next_rule_id)
 
 
 class TestTemplates:
@@ -572,6 +580,34 @@ class TestTemplates:
             assert "no path" in ctrl.get(iid).failure.lower()
             assert len(searches) == attempt
             assert ctrl._templates == {}
+
+    def test_a_repeated_host_to_host_installs_its_legs_as_copies(self, controller, installs):
+        first = controller.submit(HostToHost("h1", "h2"))
+        assert installs == ["install_rules"] * 2
+        again = controller.submit(HostToHost("h1", "h2"))
+        assert installs == ["install_rules"] * 2 + ["install_copy"] * 2
+        assert controller.get(again).state is IntentState.INSTALLED
+        assert [rule_shapes(controller, leg) for leg in leaves_of(controller, again)] == [
+            rule_shapes(controller, leg) for leg in leaves_of(controller, first)
+        ]
+
+    def test_distinct_grid_requests_are_never_copied(self, installs):
+        cells = [(r, c) for r in range(3) for c in range(3)]
+
+        def point(r, c, port=5):
+            return CP(device_id(r * 3 + c + 1), port)
+
+        # a 3x3 grid: ports 1-4 face north, east, south and west, port 5 is the edge port
+        links = [Link(point(r, c, 2), point(r, c + 1, 4)) for r, c in cells if c < 2]
+        links += [Link(point(r, c, 3), point(r + 1, c, 1)) for r, c in cells if r < 2]
+        ctrl = Controller(Topology({point(*cell).device: range(1, 6) for cell in cells}, links))
+        edges = [point(*cell) for cell in cells]
+        requests = [PointToPoint(a, b) for a in edges for b in edges if a != b]
+        requests += [SingleToMultiPoint(edges[0], frozenset(edges[1:])),
+                     MultiToSinglePoint(frozenset(edges[1:]), edges[0])]
+        for request_ in requests:
+            assert ctrl.get(ctrl.submit(request_)).state is IntentState.INSTALLED
+        assert installs == ["install_rules"] * len(requests)
 
     def test_failed_install_leaves_the_memo_unchanged(self, chain3):
         ctrl = Controller(chain3, fabric=InstallFails(chain3))
