@@ -18,7 +18,7 @@ from intentd import (
     host_mac,
 )
 from intentd.fabric import DEFAULT_PRIORITY
-from intentd.intents import intent_document
+from intentd.rest import intent_document
 
 
 def show(title: str) -> None:

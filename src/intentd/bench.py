@@ -13,14 +13,16 @@ import os
 import platform
 import random
 import resource
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
-from .cli import load_cli_topology, timed_add
-from .intents import REQUEST_TYPES, Controller, FieldKind, IntentRequest, request_document
-from .rest import RestClient, RestServer
+from .cli import EXIT_OK, EXIT_USAGE, load_cli_topology, timed_add
+from .errors import IntentdError
+from .intents import REQUEST_TYPES, Controller, FieldKind, IntentRequest
+from .rest import RestClient, RestServer, request_document
 from .stats import LinearFit, SummaryStats, fit_linear, summarize
 from .topology import Topology
 
@@ -494,3 +496,38 @@ def config_from_args(args) -> BenchmarkConfig:
         for f in fields(BenchmarkConfig)
         if getattr(args, f.name) is not None
     })
+
+
+def run_bench(args) -> int:
+    """`intentd bench`: run the sweep, write the report, print the fits."""
+    try:
+        config = config_from_args(args)
+        runner = BenchRunner(config)  # loads and checks the topology
+        # the report directory is made before the sweep, so a bad --out stops it
+        os.makedirs(config.output_dir, exist_ok=True)
+    except (ValueError, OSError, IntentdError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        results = runner.run(verbose=True)
+    finally:
+        runner.close()
+    paths = emit_report(results, config)
+
+    if results.fits:  # a fit needs at least three workloads
+        print("\nper-cell linear fits (mean install time vs intent count)")
+    for (intent_type, interface), fit in sorted(results.fits.items()):
+        print(
+            f"  {intent_type}/{interface}: {fit.slope:.4f} ms/intent "
+            f"+ {fit.intercept:.2f} ms, r^2={fit.r_squared:.5f}"
+        )
+    if results.ratios:
+        ratios = [r.ratio for r in results.ratios]
+        print(
+            f"\nREST/CLI mean-time ratio: min={min(ratios):.2f} "
+            f"mean={sum(ratios) / len(ratios):.2f} max={max(ratios):.2f}"
+        )
+    print()
+    for path in paths:
+        print(f"wrote {path}")
+    return EXIT_OK

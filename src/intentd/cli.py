@@ -236,67 +236,14 @@ def run_add_command(args: argparse.Namespace, controller: Controller) -> int:
     return EXIT_OK
 
 
-def _run_serve(args: argparse.Namespace, controller: Controller) -> int:
-    from .rest import RestServer
-
-    try:
-        server = RestServer(controller, args.host, args.port).start()
-    except OSError as exc:  # the port is taken, or the host is not ours
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"listening on http://{server.endpoint}")
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return EXIT_OK
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    from . import bench
-
-    try:
-        config = bench.config_from_args(args)
-        runner = bench.BenchRunner(config)  # loads and checks the topology
-        # the report directory is made before the sweep, so a bad --out stops it
-        os.makedirs(config.output_dir, exist_ok=True)
-    except (ValueError, OSError, IntentdError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        results = runner.run(verbose=True)
-    finally:
-        runner.close()
-    paths = bench.emit_report(results, config)
-
-    if results.fits:  # a fit needs at least three workloads
-        print("\nper-cell linear fits (mean install time vs intent count)")
-    for (intent_type, interface), fit in sorted(results.fits.items()):
-        print(
-            f"  {intent_type}/{interface}: {fit.slope:.4f} ms/intent "
-            f"+ {fit.intercept:.2f} ms, r^2={fit.r_squared:.5f}"
-        )
-    if results.ratios:
-        ratios = [r.ratio for r in results.ratios]
-        print(
-            f"\nREST/CLI mean-time ratio: min={min(ratios):.2f} "
-            f"mean={sum(ratios) / len(ratios):.2f} max={max(ratios):.2f}"
-        )
-    print()
-    for path in paths:
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "bench":
-        return _run_bench(args)
+        from .bench import run_bench
+
+        return run_bench(args)
 
     try:
         topology = load_cli_topology(args.topology)
@@ -305,8 +252,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     if args.command == "serve":
-        controller = Controller(topology, capacity=args.capacity)
-        return _run_serve(args, controller)
+        from .rest import run_serve
+
+        try:
+            run_serve(Controller(topology, capacity=args.capacity), args.host, args.port)
+        except OSError as exc:  # the port is taken, or the host is not ours
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        return EXIT_OK
 
     return run_add_command(args, Controller(topology))
 

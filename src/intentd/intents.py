@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from typing import Any, Callable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import (
     CompileError,
@@ -16,7 +16,6 @@ from .errors import (
     IllegalStateError,
     IntentValidationError,
     NoPathError,
-    RequestSchemaError,
     StoreCapacityError,
     UnknownIntentError,
 )
@@ -108,8 +107,8 @@ class FieldKind(enum.Enum):
     HOST = "host-id string"
 
 
-# The request document format, shared by every northbound surface: each type
-# name maps to its request class and to its fields, in constructor order.
+# The request document format, shared by every northbound surface (the codec
+# is in rest.py, the CLI's positionals in cli.py): each type name maps to its request class and to its fields, in constructor order.
 REQUEST_TYPES: dict[str, tuple[type, dict[str, FieldKind]]] = {
     "P2P": (PointToPoint, {"ingress": FieldKind.POINT, "egress": FieldKind.POINT}),
     "S2M": (SingleToMultiPoint, {"ingress": FieldKind.POINT, "egresses": FieldKind.POINT_SET}),
@@ -118,73 +117,11 @@ REQUEST_TYPES: dict[str, tuple[type, dict[str, FieldKind]]] = {
 }
 # the class names are accepted on the wire too; documents carry the short form
 REQUEST_TYPES |= {cls.__name__: (cls, fields) for cls, fields in REQUEST_TYPES.values()}
-# read for every field of every request that is checked, encoded or parsed;
-# an enum member lookup costs ~0.1 us
-_POINT, _POINT_SET, _HOST = FieldKind.POINT, FieldKind.POINT_SET, FieldKind.HOST
-_COMMON_FIELDS = ("type", "priority", "selector")
-_SELECTOR_FIELDS = ("eth_src", "eth_dst", "vlan")
+# read for every field of every request that is checked; an enum member
+# lookup costs ~0.1 us
+_POINT_SET, _HOST = FieldKind.POINT_SET, FieldKind.HOST
 # what a submit without a selector matches on; selectors are immutable, so all share one
-_DEFAULT_SELECTOR = TrafficSelector()
-
-
-def request_document(request: IntentRequest) -> dict:
-    """The document of a request; point sets are listed as sorted strings."""
-    doc: dict = {"type": request.type_name}
-    _, fields = REQUEST_TYPES[request.type_name]
-    for name, kind in fields.items():
-        value = getattr(request, name)
-        if kind is _POINT:
-            value = str(value)
-        elif kind is _POINT_SET:
-            value = [str(cp) for cp in sorted(value)]
-        doc[name] = value
-    return doc
-
-
-def _decode_field(kind: FieldKind, name: str, value: Any) -> Any:
-    if kind is _POINT_SET:
-        if not isinstance(value, list):
-            raise RequestSchemaError(f"{name} must be a {kind.value}")
-        return frozenset(_decode_field(_POINT, name, item) for item in value)
-    if not isinstance(value, str):
-        raise RequestSchemaError(f"{name} must be a {kind.value}")
-    if kind is _HOST:
-        return value
-    try:
-        return ConnectPoint.parse(value)
-    except ValueError as exc:
-        raise RequestSchemaError(str(exc)) from None
-
-
-def parse_intent_document(doc: Any) -> tuple[IntentRequest, int, TrafficSelector]:
-    """Strictly parse a request document into (request, priority, selector)."""
-    if not isinstance(doc, dict):
-        raise RequestSchemaError("request body must be a JSON object")
-    type_name = doc.get("type")
-    if not isinstance(type_name, str) or type_name not in REQUEST_TYPES:
-        raise RequestSchemaError(f"type must be one of {sorted(REQUEST_TYPES)}")
-    cls, fields = REQUEST_TYPES[type_name]
-    extra = set(doc) - set(fields) - set(_COMMON_FIELDS)
-    if extra:
-        raise RequestSchemaError(f"unknown fields: {sorted(extra)}")
-    missing = [name for name in fields if name not in doc]
-    if missing:
-        raise RequestSchemaError(f"missing fields: {missing}")
-    request = cls(*(_decode_field(kind, name, doc[name]) for name, kind in fields.items()))
-
-    priority = doc.get("priority", DEFAULT_PRIORITY)
-    if not isinstance(priority, int) or isinstance(priority, bool) or priority < 1:
-        raise RequestSchemaError("priority must be a positive integer")
-    selector = doc.get("selector", {})
-    if not isinstance(selector, dict):
-        raise RequestSchemaError("selector must be an object")
-    extra = set(selector) - set(_SELECTOR_FIELDS)
-    if extra:
-        raise RequestSchemaError(f"unknown selector fields: {sorted(extra)}")
-    try:
-        return request, priority, TrafficSelector(**selector) if selector else _DEFAULT_SELECTOR
-    except ValueError as exc:
-        raise RequestSchemaError(str(exc)) from None
+DEFAULT_SELECTOR = TrafficSelector()
 
 
 class Intent(Record):
@@ -478,7 +415,7 @@ class Controller:
         intent.
         """
         if selector is None:
-            selector = _DEFAULT_SELECTOR
+            selector = DEFAULT_SELECTOR
         with self._lock:
             if isinstance(request, HostToHost):
                 validate_request(self.topology, request)
@@ -662,20 +599,3 @@ class Controller:
             self.store.clear()
             self._templates.clear()
 
-
-def intent_document(controller: Controller, intent: Intent) -> dict:
-    """JSON-ready view of one intent for the REST and CLI surfaces, read under
-    the controller's lock so that its state and rule count agree."""
-    with controller._lock:
-        doc: dict = {
-            "id": str(intent.id),
-            "type": intent.type_name,
-            "state": intent.state.value,
-            "rule_count": controller.rule_count(intent.id),
-        }
-        doc |= request_document(intent.request)  # keeps "type" in second place
-        if intent.child_ids is not None:
-            doc["children"] = [str(c) for c in intent.child_ids]
-        if intent.failure is not None:
-            doc["failure"] = intent.failure
-        return doc

@@ -2,13 +2,16 @@
 
 The server is the standard library's threading HTTP server so requests pay
 the full socket + serialization cost; the client keeps one persistent
-connection, which is what the benchmark harness measures.
+connection, which is what the benchmark harness measures.  The request and
+intent document codec lives here too, as only the wire interface and the
+benchmark read or write documents; a CLI add never loads it.
 """
 from __future__ import annotations
 
 import http.client
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, NoReturn
 
@@ -21,7 +24,16 @@ from .errors import (
     UnknownIntentError,
     UnreachableEndpointError,
 )
-from .intents import Controller, intent_document, parse_intent_document
+from .fabric import DEFAULT_PRIORITY, TrafficSelector
+from .intents import (
+    DEFAULT_SELECTOR,
+    REQUEST_TYPES,
+    Controller,
+    FieldKind,
+    Intent,
+    IntentRequest,
+)
+from .topology import ConnectPoint
 
 # a request announcing a longer body is refused with 413 before any of it is read
 MAX_BODY_BYTES = 1 << 20
@@ -46,6 +58,91 @@ ERROR_STATUS: dict[type[Exception], int] = {
     StoreCapacityError: 409,
     IllegalStateError: 409,
 }
+
+
+# read for every field of every request that is encoded or parsed; an enum
+# member lookup costs ~0.1 us
+_POINT, _POINT_SET, _HOST = FieldKind.POINT, FieldKind.POINT_SET, FieldKind.HOST
+_COMMON_FIELDS = ("type", "priority", "selector")
+_SELECTOR_FIELDS = ("eth_src", "eth_dst", "vlan")
+
+
+def request_document(request: IntentRequest) -> dict:
+    """The document of a request; point sets are listed as sorted strings."""
+    doc: dict = {"type": request.type_name}
+    _, fields = REQUEST_TYPES[request.type_name]
+    for name, kind in fields.items():
+        value = getattr(request, name)
+        if kind is _POINT:
+            value = str(value)
+        elif kind is _POINT_SET:
+            value = [str(cp) for cp in sorted(value)]
+        doc[name] = value
+    return doc
+
+
+def _decode_field(kind: FieldKind, name: str, value: Any) -> Any:
+    if kind is _POINT_SET:
+        if not isinstance(value, list):
+            raise RequestSchemaError(f"{name} must be a {kind.value}")
+        return frozenset(_decode_field(_POINT, name, item) for item in value)
+    if not isinstance(value, str):
+        raise RequestSchemaError(f"{name} must be a {kind.value}")
+    if kind is _HOST:
+        return value
+    try:
+        return ConnectPoint.parse(value)
+    except ValueError as exc:
+        raise RequestSchemaError(str(exc)) from None
+
+
+def parse_intent_document(doc: Any) -> tuple[IntentRequest, int, TrafficSelector]:
+    """Strictly parse a request document into (request, priority, selector)."""
+    if not isinstance(doc, dict):
+        raise RequestSchemaError("request body must be a JSON object")
+    type_name = doc.get("type")
+    if not isinstance(type_name, str) or type_name not in REQUEST_TYPES:
+        raise RequestSchemaError(f"type must be one of {sorted(REQUEST_TYPES)}")
+    cls, fields = REQUEST_TYPES[type_name]
+    extra = set(doc) - set(fields) - set(_COMMON_FIELDS)
+    if extra:
+        raise RequestSchemaError(f"unknown fields: {sorted(extra)}")
+    missing = [name for name in fields if name not in doc]
+    if missing:
+        raise RequestSchemaError(f"missing fields: {missing}")
+    request = cls(*(_decode_field(kind, name, doc[name]) for name, kind in fields.items()))
+
+    priority = doc.get("priority", DEFAULT_PRIORITY)
+    if not isinstance(priority, int) or isinstance(priority, bool) or priority < 1:
+        raise RequestSchemaError("priority must be a positive integer")
+    selector = doc.get("selector", {})
+    if not isinstance(selector, dict):
+        raise RequestSchemaError("selector must be an object")
+    extra = set(selector) - set(_SELECTOR_FIELDS)
+    if extra:
+        raise RequestSchemaError(f"unknown selector fields: {sorted(extra)}")
+    try:
+        return request, priority, TrafficSelector(**selector) if selector else DEFAULT_SELECTOR
+    except ValueError as exc:
+        raise RequestSchemaError(str(exc)) from None
+
+
+def intent_document(controller: Controller, intent: Intent) -> dict:
+    """JSON-ready view of one intent, read under the controller's lock so
+    that its state and rule count agree."""
+    with controller._lock:
+        doc: dict = {
+            "id": str(intent.id),
+            "type": intent.type_name,
+            "state": intent.state.value,
+            "rule_count": controller.rule_count(intent.id),
+        }
+        doc |= request_document(intent.request)  # keeps "type" in second place
+        if intent.child_ids is not None:
+            doc["children"] = [str(c) for c in intent.child_ids]
+        if intent.failure is not None:
+            doc["failure"] = intent.failure
+        return doc
 
 
 class _ApiHandler(BaseHTTPRequestHandler):
@@ -280,3 +377,17 @@ class RestClient:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
+
+
+def run_serve(controller: Controller, host: str, port: int) -> None:
+    """`intentd serve`: answer on host:port until interrupted.  OSError if the
+    port is taken or the host is not ours."""
+    server = RestServer(controller, host, port).start()
+    print(f"listening on http://{server.endpoint}")
+    try:
+        while True:
+            time.sleep(3600)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.stop()

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+import math
 import re
 from operator import attrgetter
 from typing import Iterable, Mapping
@@ -124,7 +125,7 @@ class ConnectPoint(HashedRecord):
 
 
 class Link(FrozenRecord):
-    """One direction of a bidirectional link; weight is a positive cost."""
+    """One direction of a bidirectional link; weight is a positive, finite cost."""
 
     __slots__ = _fields = ("src", "dst", "weight")
 
@@ -193,6 +194,11 @@ class Topology:
         for link in links:
             if link.src.device == link.dst.device:
                 raise TopologyValidationError(f"self-loop link at {link.src}")
+            # json reads Infinity, NaN and 1e309; an infinite link would still be routed over
+            if not math.isfinite(link.weight):
+                raise TopologyValidationError(
+                    f"non-finite weight {link.weight} on link {link.src}->{link.dst}"
+                )
             if not link.weight > 0:
                 raise TopologyValidationError(f"non-positive weight on link {link.src}->{link.dst}")
             for cp in (link.src, link.dst):
@@ -373,9 +379,17 @@ def host_mac(host: str) -> str:
     lowered = host.lower()
     if MAC_RE.match(lowered):
         return lowered
-    import hashlib  # here, not at the top: only hashed ids need OpenSSL loaded
+    # here, not at the top: only a hashed id pays for it.  hashlib loads
+    # OpenSSL for one digest, so the interpreter's builtin module comes first
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # CPython 3.12+
+        except ImportError:
+            from hashlib import sha256
 
-    digest = hashlib.sha256(host.encode("utf-8")).digest()[:5]
+    digest = sha256(host.encode("utf-8")).digest()[:5]
     return "02:" + ":".join("%02x" % b for b in digest)
 
 

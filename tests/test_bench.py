@@ -19,7 +19,7 @@ from intentd.bench import (
     emit_report,
 )
 from intentd.cli import build_parser
-from intentd.intents import request_document
+from intentd.rest import request_document
 from intentd.topology import default_topology
 
 

@@ -26,15 +26,17 @@ from intentd.topology import ConnectPoint, Topology, device_id, serialize_topolo
 from conftest import CHAIN3_DOCUMENT, D1, D2, D3
 
 
-# A fresh interpreter runs one add command, then names the modules it loaded
-# that the add path leaves out; only a host-to-host add hashes, so loads hashlib.
+# A fresh interpreter runs the add command in argv, then names the modules it
+# loaded that the add path leaves out.  A host-to-host add hashes its host ids
+# with the interpreter's builtin SHA-256, not hashlib, which loads OpenSSL.
 ADD_PATH_SCRIPT = """
 import sys
 before = set(sys.modules)
 from intentd.cli import main
-main(["add-point-to-point-intent", "of:0000000000000001/1", "of:0000000000000005/2",
-      "--output", "json"])
-print(sorted({"dataclasses", "inspect", "hashlib", "_hashlib"} & (set(sys.modules) - before)))
+main([*sys.argv[1:], "--output", "json"])
+left_out = {"dataclasses", "inspect", "hashlib", "_hashlib", "intentd.rest", "intentd.bench",
+            "http.server"}
+print(sorted(left_out & (set(sys.modules) - before)))
 """
 
 
@@ -296,10 +298,22 @@ class TestMainEndToEnd:
         assert "workload=" not in out
         assert not report.exists()
 
-    def test_add_path_leaves_out_dataclasses_inspect_and_hashlib(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["add-point-to-point-intent", f"{device_id(1)}/1", f"{device_id(5)}/2"],
+            ["add-single-to-multi-point-intent", f"{device_id(1)}/1", f"{device_id(3)}/3",
+             f"{device_id(5)}/2"],
+            ["add-multi-to-single-point-intent", f"{device_id(1)}/1", f"{device_id(3)}/3",
+             f"{device_id(5)}/2"],
+            ["add-host-to-host-intent", "h1", "h2"],
+        ],
+        ids=["P2P", "S2M", "M2S", "H2H"],
+    )
+    def test_add_path_leaves_out_dataclasses_inspect_and_hashlib(self, argv):
         src = os.path.dirname(os.path.dirname(intentd.__file__))
         proc = subprocess.run(
-            [sys.executable, "-c", ADD_PATH_SCRIPT],
+            [sys.executable, "-c", ADD_PATH_SCRIPT, *argv],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": src},

@@ -36,10 +36,8 @@ from intentd.intents import (
     MultiToSinglePoint,
     PointToPoint,
     SingleToMultiPoint,
-    intent_document,
-    parse_intent_document,
-    request_document,
 )
+from intentd.rest import intent_document, parse_intent_document, request_document
 from intentd.topology import ConnectPoint, Link, Topology, default_topology, device_id, host_mac
 from conftest import D1, D2, D3, HUB
 from randnet import (

@@ -1,6 +1,8 @@
 """Topology loading, validation, serialization, and path computation."""
+import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from intentd.errors import (
     UnknownDeviceError,
 )
 from intentd.topology import (
+    MAC_RE,
     ConnectPoint,
     Link,
     Path,
@@ -162,8 +165,19 @@ class TestLoading:
             "devices": [{"id": D1, "ports": [1]}, {"id": D2, "ports": [1]}],
             "links": [{"src": f"{D1}/1", "dst": f"{D2}/1", "weight": 0}],
         }
-        with pytest.raises(TopologyValidationError):
+        with pytest.raises(TopologyValidationError, match=f"^non-positive weight on link {D1}/1->{D2}/1$"):
             load_topology(doc)
+
+    @pytest.mark.parametrize("weight", ["Infinity", "-Infinity", "1e309", "NaN"])
+    def test_non_finite_weight_rejected(self, weight):
+        text = (
+            f'{{"devices": [{{"id": "{D1}", "ports": [1]}}, {{"id": "{D2}", "ports": [1]}}],'
+            f' "links": [{{"src": "{D1}/1", "dst": "{D2}/1", "weight": {weight}}}]}}'
+        )
+        with pytest.raises(TopologyValidationError) as info:
+            load_topology(text)
+        assert str(info.value).startswith("non-finite weight ")
+        assert str(info.value).endswith(f" on link {D1}/1->{D2}/1")
 
     def test_boolean_weight_rejected(self):
         doc = {
@@ -217,6 +231,19 @@ class TestHostMac:
 
     def test_hashed_macs_are_pinned(self):
         # the host-to-host legs' selectors carry these; they must not drift
+        assert host_mac("h1") == "02:33:11:2e:e1:4e"
+        assert host_mac("h2") == "02:f9:98:fe:06:af"
+
+    @settings(max_examples=200, deadline=None)
+    @given(host=st.text().filter(lambda h: not MAC_RE.match(h.lower())))
+    def test_hashed_mac_is_the_sha256_prefix(self, host):
+        digest = hashlib.sha256(host.encode("utf-8")).digest()[:5]
+        assert host_mac(host) == "02:" + ":".join("%02x" % b for b in digest)
+
+    def test_pins_hold_without_the_builtin_sha256(self, monkeypatch):
+        # a None entry makes an import of that name fail, so hashlib computes it
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
         assert host_mac("h1") == "02:33:11:2e:e1:4e"
         assert host_mac("h2") == "02:f9:98:fe:06:af"
 
