@@ -108,7 +108,8 @@ class FieldKind(enum.Enum):
 
 
 # The request document format, shared by every northbound surface (the codec
-# is in rest.py, the CLI's positionals in cli.py): each type name maps to its request class and to its fields, in constructor order.
+# is in rest.py, the CLI's positionals in cli.py): each type name maps to its
+# request class and to its fields, in constructor order.
 REQUEST_TYPES: dict[str, tuple[type, dict[str, FieldKind]]] = {
     "P2P": (PointToPoint, {"ingress": FieldKind.POINT, "egress": FieldKind.POINT}),
     "S2M": (SingleToMultiPoint, {"ingress": FieldKind.POINT, "egresses": FieldKind.POINT_SET}),

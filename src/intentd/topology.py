@@ -328,7 +328,11 @@ def load_topology(document) -> Topology:
         weight = entry.get("weight", 1.0)
         if not isinstance(weight, (int, float)) or isinstance(weight, bool):
             raise TopologyValidationError(f"bad weight on link {entry['src']}")
-        links.append(Link(src, dst, float(weight)))
+        try:
+            weight = float(weight)
+        except OverflowError:  # an integer past the float range; Topology refuses it
+            weight = math.inf
+        links.append(Link(src, dst, weight))
 
     hosts: dict[str, ConnectPoint] = {}
     for entry in document.get("hosts", []):

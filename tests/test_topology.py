@@ -165,10 +165,15 @@ class TestLoading:
             "devices": [{"id": D1, "ports": [1]}, {"id": D2, "ports": [1]}],
             "links": [{"src": f"{D1}/1", "dst": f"{D2}/1", "weight": 0}],
         }
-        with pytest.raises(TopologyValidationError, match=f"^non-positive weight on link {D1}/1->{D2}/1$"):
+        message = f"^non-positive weight on link {D1}/1->{D2}/1$"
+        with pytest.raises(TopologyValidationError, match=message):
             load_topology(doc)
 
-    @pytest.mark.parametrize("weight", ["Infinity", "-Infinity", "1e309", "NaN"])
+    @pytest.mark.parametrize(
+        "weight",
+        ["Infinity", "-Infinity", "1e309", "NaN", "1" + "0" * 400],
+        ids=["Infinity", "-Infinity", "1e309", "NaN", "int-past-float-range"],
+    )
     def test_non_finite_weight_rejected(self, weight):
         text = (
             f'{{"devices": [{{"id": "{D1}", "ports": [1]}}, {{"id": "{D2}", "ports": [1]}}],'
