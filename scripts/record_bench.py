@@ -22,6 +22,12 @@ every per-layer metric and the call count of every span, with each side's
 median, min and max per metric; plus the commit and source digest of each
 side, nproc, the Python version and the host's steal time from /proc/stat
 over the whole recording.
+Last comes an UNGATED paired spawn A/B of the CLI: for each add subcommand,
+SPAWN_PAIRS pairs of `python -m intentd.cli add-...` processes, the sides
+alternating spawn by spawn, each with the environment cli-oneshot gives its
+spawns.  A 30 s run's spawn median follows the host's drift across the run;
+a pair's two spawns share it, so the per-pair ratios and win counts resolve
+a change of a few percent that the runs' medians do not.
 Only the standard library is used.
 """
 from __future__ import annotations
@@ -43,6 +49,18 @@ TRACED_PAIRS = 3
 # show how a throughput change splits between submits, withdraws and reads,
 # and the tail of the CLI spawns, where the host-to-host adds sit
 UNGATED = {"withdraw_p50_us": "lower", "read_p50_us": "lower", "cli_p90_ms": "lower"}
+# spawn pairs per add subcommand in the CLI spawn A/B
+SPAWN_PAIRS = 60
+# one fixed command per add subcommand, on the built-in chain
+SPAWN_ARGV = {
+    "P2P": ["add-point-to-point-intent", "--output", "json",
+            "of:0000000000000001/1", "of:0000000000000005/2"],
+    "S2M": ["add-single-to-multi-point-intent", "--output", "json",
+            "of:0000000000000001/1", "of:0000000000000003/2", "of:0000000000000005/2"],
+    "M2S": ["add-multi-to-single-point-intent", "--output", "json",
+            "of:0000000000000001/1", "of:0000000000000003/2", "of:0000000000000005/2"],
+    "H2H": ["add-host-to-host-intent", "--output", "json", "h1", "h2"],
+}
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -206,6 +224,38 @@ def record_traced(roots: dict, workload: str, args) -> dict:
     return out
 
 
+def spawn_ms(root: str, argv: list[str]) -> float:
+    """Wall time of one CLI process run from `root`'s src/, in ms."""
+    path = os.environ.get("PYTHONPATH")
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    cmd = [sys.executable, "-m", "intentd.cli", *argv]
+    start = time.perf_counter_ns()
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, timeout=60)
+    elapsed = time.perf_counter_ns() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} in {root} exited {proc.returncode}:\n"
+                         f"{proc.stderr.decode(errors='replace')}")
+    return elapsed / 1e6
+
+
+def record_spawns(roots: dict) -> dict:
+    """The paired CLI spawn A/B: per add subcommand, SPAWN_PAIRS pairs, the
+    parent first in even pairs, after one unmeasured spawn per side."""
+    out: dict = {"pairs": SPAWN_PAIRS}
+    for name, argv in SPAWN_ARGV.items():
+        for side in SIDES:
+            spawn_ms(roots[side], argv)
+        times: dict = {side: [] for side in SIDES}
+        for pair in range(SPAWN_PAIRS):
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                times[side].append(round(spawn_ms(roots[side], argv), 3))
+        out[name] = {"argv": argv, **compare(times["parent"], times["change"], "lower", False)}
+        print(f"spawn A/B {name}: change faster in {out[name]['change_better_in_pairs']} "
+              f"of {SPAWN_PAIRS} pairs", flush=True)
+    return out
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -219,6 +269,7 @@ def main(argv=None) -> int:
     sides_meta: dict = {}
     trace0 = {w: record_pairs(roots, w, args, gated, sides_meta) for w in workloads}
     trace1 = {w: record_traced(roots, w, args) for w in workloads}
+    spawns = record_spawns(roots)
     after = cpu_ticks()
 
     doc = {
@@ -249,9 +300,12 @@ def main(argv=None) -> int:
                    "`setup_samples_s` holds each untraced run's set-ups, in pair order, raw "
                    "and scaled, so a setup_s median shows its within-run spread; in "
                    "trace1 a side's median, min and max are over its traced runs, and `calls` "
-                   "holds each traced run's span call counts (perfbench's breakdown)"),
+                   "holds each traced run's span call counts (perfbench's breakdown); "
+                   "`cli_spawn_ab` holds, per add subcommand, every spawn's wall time in ms "
+                   "of each side, in pair order, compared as a metric is (ungated)"),
         "trace0": trace0,
         "trace1": trace1,
+        "cli_spawn_ab": spawns,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)

@@ -5,9 +5,9 @@ synthetic packet through the tables to check what a rule set actually does.
 """
 from __future__ import annotations
 
-from collections import deque
-from operator import itemgetter
-from typing import Callable, Sequence
+from collections import defaultdict, deque
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import DuplicateRuleError, LoopDetectedError, UnknownDeviceError
 from .topology import MAC_RE, ConnectPoint, FrozenRecord, Record, Topology
@@ -82,8 +82,9 @@ class TreatmentCache(dict):
 
 class FlowRule(Record):
     """One device's rule: packets arriving on `in_port` (None: any port) whose
-    header matches `selector` leave by `treatment`.  Rules compiled from one
-    intent share its selector; only packet_count changes after construction.
+    header matches `selector` leave by `treatment`.  A value: the fabric does
+    not hold FlowRules but rows (see `row`), and each reader builds fresh ones,
+    whose `packet_count` is the count of packets the rule had matched then.
 
     `match_key` is (in_port, eth_src, eth_dst, vlan), None where unset, built
     once here: rules that match the same packets have equal match keys."""
@@ -93,6 +94,10 @@ class FlowRule(Record):
         "priority", "in_port", "packet_count",
     )
     __slots__ = _fields + ("match_key",)
+    # the rule as the fabric holds it, a plain tuple read in C: its fields in
+    # order, with match_key in place of packet_count (`rule_rows` builds rows
+    # as the compilers do)
+    row = property(attrgetter(*_fields[:-1], "match_key"))
 
     def __init__(
         self,
@@ -108,6 +113,8 @@ class FlowRule(Record):
             raise ValueError(f"rule_id out of 64-bit range: {rule_id}")
         if in_port is not None and in_port < 1:
             raise ValueError(f"in_port must be >= 1, got {in_port}")
+        if not isinstance(priority, int) or isinstance(priority, bool):
+            raise ValueError(f"priority must be an integer, got {priority!r}")
         self.rule_id = rule_id
         self.device = device
         self.selector = selector
@@ -117,6 +124,37 @@ class FlowRule(Record):
         self.in_port = in_port
         self.packet_count = 0
         self.match_key = (in_port, selector.eth_src, selector.eth_dst, selector.vlan)
+
+    @classmethod
+    def from_row(cls, row: tuple, packet_count: int = 0) -> "FlowRule":
+        """The rule a row holds, unchecked: a row holds checked fields."""
+        rule = object.__new__(cls)
+        (
+            rule.rule_id, rule.device, rule.selector, rule.treatment, rule.owner_intent,
+            rule.priority, rule.in_port, rule.match_key,
+        ) = row
+        rule.packet_count = packet_count
+        return rule
+
+
+def rule_rows(
+    places: Iterable[tuple[str, int | None, TrafficTreatment]],
+    selector: TrafficSelector,
+    owner_intent: int,
+    priority: int,
+    next_rule_id: Callable[[], int],
+) -> list[tuple]:
+    """One intent's rows, one per (device, in_port, treatment) place, each
+    with a fresh id from `next_rule_id`: the `FlowRule.row` of each rule that
+    `FlowRule(...)` would build, without its checks."""
+    eth_src, eth_dst, vlan = selector.eth_src, selector.eth_dst, selector.vlan
+    return [
+        (
+            next_rule_id(), device, selector, treatment, owner_intent, priority, in_port,
+            (in_port, eth_src, eth_dst, vlan),
+        )
+        for device, in_port, treatment in places
+    ]
 
 
 class DeliveryReport(FrozenRecord):
@@ -137,8 +175,15 @@ class DeliveryReport(FrozenRecord):
         object.__setattr__(self, "misses", misses)
 
 
-def _match_order(rule: FlowRule) -> tuple[int, int]:
-    return (-rule.priority, rule.rule_id)
+def _match_order(row: tuple) -> tuple[int, int]:
+    return (-row[5], row[0])  # (-priority, rule_id)
+
+
+class _Rows(dict):
+    """Rows that share a match key, by rule id in match order; `last` is the
+    last of them, read on every add without an iterator."""
+
+    __slots__ = ("last",)
 
 
 # A probe picks from (in_port, eth_src, eth_dst, vlan, None), read off the
@@ -149,47 +194,56 @@ _MATCH_ANY = (None, None, None, None)
 
 
 class FlowTable:
-    """Rules of one device, looked up by tuple space search.
+    """Rules of one device, held as rows and looked up by tuple space search.
 
-    Rules are grouped by their match key, the tuple each `FlowRule` stores
-    as `match_key`.  `_index` maps a key to its only rule or,
-    when several share it, to a dict of them kept in match order (descending
-    priority, then rule id), so a key's first rule is its best.  A rule that
-    sorts after the key's last one (one priority and rising ids, which is
-    what the controller produces) is appended; any other add rebuilds that
-    key's dict once.  `_probes` holds one getter per
+    A row is the plain tuple `FlowRule.row` gives: rule_id, device, selector,
+    treatment, owner_intent, priority, in_port and match_key, in that order.
+    Rows are grouped by their match key.  `_index` maps a key to its only row
+    or, when several share it, to a `_Rows` dict of them by rule id kept in
+    match order (descending priority, then rule id), so a key's first row is
+    its best.  A row that sorts after the key's last one (one priority and
+    rising ids, which is what the controller produces) is appended; any other
+    add rebuilds that key's dict once.  `_probes` holds one getter per
     combination of set fields present (at most 16), which turns a packet into
-    the key a matching rule of that combination must have; it only grows
+    the key a matching row of that combination must have; it only grows
     until `clear()`.  A lookup probes each combination once and takes the best
-    head across them.  Rule ids must be unique; the fabric checks that.
-    Owned by one fabric and not thread-safe on its own.
+    head across them.  `_counts` maps a rule id to the packets its rule
+    matched: only the packet walk writes it, `discard` drops the rule's count,
+    and the readers (iteration, `match`) copy it into the FlowRules they
+    build.  Rule ids must be unique; the fabric checks that.  Owned by one
+    fabric and not thread-safe on its own.
     """
 
     def __init__(self, device: str) -> None:
         self.device = device
-        self._index: dict[tuple, FlowRule | dict[int, FlowRule]] = {}
+        self._index: dict[tuple, tuple | _Rows] = {}
         self._probes: dict[tuple[int, ...], itemgetter] = {}
+        self._counts: defaultdict[int, int] = defaultdict(int)
         self._len = 0
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self):
-        """Every rule in match order; sorts, so keep it off the packet path."""
-        rules: list[FlowRule] = []
+        """Every rule in match order, as FlowRules; sorts, so keep it off the packet path."""
+        rows: list[tuple] = []
         for held in self._index.values():
-            if type(held) is dict:
-                rules.extend(held.values())
+            if type(held) is _Rows:
+                rows.extend(held.values())
             else:
-                rules.append(held)
-        return iter(sorted(rules, key=_match_order))
+                rows.append(held)
+        rows.sort(key=_match_order)
+        return map(self._rule, rows)
 
-    def add(self, rule: FlowRule) -> None:
-        key = rule.match_key
+    def _rule(self, row: tuple) -> FlowRule:
+        return FlowRule.from_row(row, self._counts.get(row[0], 0))
+
+    def add(self, row: tuple) -> None:
+        key = row[7]
         index = self._index
         held = index.get(key)
         if held is None:
-            index[key] = rule
+            index[key] = row
             in_port, eth_src, eth_dst, vlan = key
             picks = (
                 _UNSET if in_port is None else 0,
@@ -200,50 +254,55 @@ class FlowTable:
             if picks not in self._probes:
                 self._probes[picks] = itemgetter(*picks)
         else:
-            if type(held) is not dict:
-                held = index[key] = {held.rule_id: held}
-            last = next(reversed(held.values()))
-            priority = rule.priority
-            in_order = priority < last.priority or (
-                priority == last.priority and rule.rule_id > last.rule_id
-            )
-            held[rule.rule_id] = rule
-            if not in_order:
-                index[key] = {
-                    r.rule_id: r for r in sorted(held.values(), key=_match_order)
-                }
+            if type(held) is not _Rows:
+                first = held
+                held = index[key] = _Rows({first[0]: first})
+                held.last = first
+            last = held.last
+            rule_id, priority = row[0], row[5]
+            held[rule_id] = row
+            if priority < last[5] or (priority == last[5] and rule_id > last[0]):
+                held.last = row
+            else:
+                ordered = sorted(held.values(), key=_match_order)
+                held = index[key] = _Rows({r[0]: r for r in ordered})
+                held.last = ordered[-1]
         self._len += 1
 
-    def discard(self, rule: FlowRule) -> None:
-        """Remove a rule this table holds."""
-        key = rule.match_key
+    def discard(self, row: tuple) -> None:
+        """Remove a row this table holds, and its rule's packet count."""
+        key = row[7]
         held = self._index[key]
-        if held is rule:
+        if type(held) is not _Rows:
             del self._index[key]
         else:
-            del held[rule.rule_id]
+            del held[row[0]]
             if len(held) == 1:
                 self._index[key] = next(iter(held.values()))
+            elif held.last[0] == row[0]:
+                held.last = next(reversed(held.values()))
+        self._counts.pop(row[0], None)
         self._len -= 1
 
     def match(self, in_port: int, header: PacketHeader) -> FlowRule | None:
         """The first rule in match order whose selector matches, or None."""
-        return self.lookup((in_port, header.eth_src, header.eth_dst, header.vlan, None))
+        row = self.lookup((in_port, header.eth_src, header.eth_dst, header.vlan, None))
+        return None if row is None else self._rule(row)
 
-    def lookup(self, fields: tuple) -> FlowRule | None:
-        """`match` for a packet given as (in_port, eth_src, eth_dst, vlan, None)."""
+    def lookup(self, fields: tuple) -> tuple | None:
+        """`match`'s row, for a packet given as (in_port, eth_src, eth_dst, vlan, None)."""
         index = self._index
         best = None
         for probe in self._probes.values():
             hit = index.get(probe(fields))
             if hit is None:
                 continue
-            if type(hit) is dict:
+            if type(hit) is _Rows:
                 hit = next(iter(hit.values()))
             if (
                 best is None
-                or hit.priority > best.priority
-                or (hit.priority == best.priority and hit.rule_id < best.rule_id)
+                or hit[5] > best[5]
+                or (hit[5] == best[5] and hit[0] < best[0])
             ):
                 best = hit
         return best
@@ -251,11 +310,17 @@ class FlowTable:
     def clear(self) -> None:
         self._index.clear()
         self._probes.clear()
+        self._counts.clear()
         self._len = 0
 
 
 class Fabric:
     """All flow tables of one simulated network.
+
+    The rule store holds rows (see `FlowTable`): each table holds its
+    device's, and `_by_owner` holds each owner's as one immutable tuple in
+    install order, which `rows_of` hands out and callers may keep.  The
+    readers build FlowRules from them.
 
     Owned by one controller and not thread-safe on its own: the controller's
     lock guards it.  Walk packets only while nothing else uses the fabric.
@@ -276,7 +341,7 @@ class Fabric:
             for link in topology.links
         }
         self._ids: set[int] = set()
-        self._by_owner: dict[int, list[FlowRule]] = {}
+        self._by_owner: dict[int, tuple[tuple, ...]] = {}
 
     def rule_count(self) -> int:
         return len(self._ids)
@@ -288,89 +353,104 @@ class Fabric:
 
     def rules_of(self, owner_intent: int) -> list[FlowRule]:
         """The rules an intent owns, in install order; empty for unknown owners."""
-        return list(self._by_owner.get(owner_intent, ()))
+        tables = self._tables
+        return [tables[row[1]]._rule(row) for row in self.rows_of(owner_intent)]
 
-    def install_rules(self, rules: Sequence[FlowRule]) -> int:
-        """Install a batch atomically; on any error nothing is installed."""
+    def rows_of(self, owner_intent: int) -> tuple[tuple, ...]:
+        """The rows an intent owns, in install order; empty for unknown owners."""
+        return self._by_owner.get(owner_intent, ())
+
+    def install_rules(self, rules: Sequence[FlowRule | tuple]) -> int:
+        """Install a batch atomically; on any error nothing is installed.
+
+        Each item is a FlowRule or a row as `rule_rows` builds it; a FlowRule
+        is stored as its row.
+        """
+        rows = tuple([rule if type(rule) is tuple else rule.row for rule in rules])
         port_sets, ids, by_owner = self._ports, self._ids, self._by_owner
-        owners = {rule.owner_intent for rule in rules}
+        owners = {row[4] for row in rows}
         # a duplicate has the same device, priority, match key and owner, so
         # only the batch and the live rules of the batch's owners can hold one
         keys: set[tuple] = {
-            (live.device, live.priority, live.match_key, owner)
+            (live[1], live[5], live[7], owner)
             for owner in owners
             if owner in by_owner
             for live in by_owner[owner]
         }
         batch_ids: set[int] = set()
-        for rule in rules:
-            device = rule.device
+        for rule_id, device, _, treatment, owner, priority, in_port, match_key in rows:
             ports = port_sets.get(device)
             if ports is None:
                 raise UnknownDeviceError(f"unknown device {device}")
-            match_key = rule.match_key
             if match_key == _MATCH_ANY:
-                raise ValueError(f"rule {rule.rule_id} has an empty selector")
-            outputs = rule.treatment.outputs
+                raise ValueError(f"rule {rule_id} has an empty selector")
+            outputs = treatment.outputs
             if not ports.issuperset(outputs):
                 port = next(p for p in outputs if p not in ports)
                 raise ValueError(
-                    f"rule {rule.rule_id} outputs to missing port {device}/{port}"
+                    f"rule {rule_id} outputs to missing port {device}/{port}"
                 )
-            in_port = rule.in_port
             if in_port is not None and in_port not in ports:
-                raise ValueError(f"rule {rule.rule_id} matches missing port {device}/{in_port}")
-            key = (device, rule.priority, match_key, rule.owner_intent)
+                raise ValueError(f"rule {rule_id} matches missing port {device}/{in_port}")
+            key = (device, priority, match_key, owner)
             if key in keys:
                 raise DuplicateRuleError(
-                    f"duplicate rule on {device} (priority {rule.priority})"
+                    f"duplicate rule on {device} (priority {priority})"
                 )
             keys.add(key)
-            rule_id = rule.rule_id
             if rule_id in ids or rule_id in batch_ids:
                 raise DuplicateRuleError(f"rule id {rule_id} is already in use")
             batch_ids.add(rule_id)
 
         ids |= batch_ids
-        for owner in owners:
-            if owner not in by_owner:
-                by_owner[owner] = []
         tables = self._tables
-        for rule in rules:
-            tables[rule.device].add(rule)
-            by_owner[rule.owner_intent].append(rule)
-        return len(rules)
+        for row in rows:
+            tables[row[1]].add(row)
+        for owner in owners:
+            owned = rows if len(owners) == 1 else tuple([row for row in rows if row[4] == owner])
+            by_owner[owner] = by_owner[owner] + owned if owner in by_owner else owned
+        return len(rows)
 
     def install_copy(
         self,
-        like: Sequence[FlowRule],
+        like: Sequence[tuple],
         owner_intent: int,
         selector: TrafficSelector,
         priority: int,
         next_rule_id: Callable[[], int],
     ) -> int:
-        """Install a copy of `like` for a new owner, atomically; returns its size.
+        """Install a copy of the rows `like` for a new owner, atomically;
+        returns its size.
 
-        Each copy keeps its rule's device, treatment and in_port and takes a
+        Each copy keeps its row's device, treatment and in_port and takes a
         fresh id from `next_rule_id`, `owner_intent`, `selector` and
-        `priority`.  Precondition: `like` is a batch that `install_rules`
-        accepted on this fabric, whose rules sit at distinct (device, in_port)
-        places.  Its devices and ports are then known, and the copies, which
-        share one owner, selector and priority, cannot share a match key, so
-        neither is checked again.  What a copy can change is: the owner must
-        not be live, the ids must be distinct and not live, and no match key
-        may be empty.  A batch that fails one of these goes to
-        `install_rules`, which raises what it raises for that batch.
+        `priority`; with `like`'s own selector it keeps the match key too.
+        Precondition: `like` is the rows of a batch that `install_rules`
+        accepted on this fabric, which sit at distinct (device, in_port)
+        places and share one selector.  Their devices and ports are then
+        known, and the copies, which share one owner, selector and priority,
+        cannot share a match key, so neither is checked again.  What a copy
+        can change is: the owner must not be live, the ids must be distinct
+        and not live, and no match key may be empty.  A batch that fails one
+        of these goes to `install_rules`, which raises what it raises for that
+        batch.
         """
-        copies = [
-            FlowRule(
-                next_rule_id(), rule.device, selector, rule.treatment, owner_intent, priority,
-                rule.in_port,
-            )
-            for rule in like
-        ]
+        if like and selector is like[0][2]:
+            copies = tuple([
+                (next_rule_id(), row[1], selector, row[3], owner_intent, priority, row[6], row[7])
+                for row in like
+            ])
+        else:
+            eth_src, eth_dst, vlan = selector.eth_src, selector.eth_dst, selector.vlan
+            copies = tuple([
+                (
+                    next_rule_id(), row[1], selector, row[3], owner_intent, priority, row[6],
+                    (row[6], eth_src, eth_dst, vlan),
+                )
+                for row in like
+            ])
         ids, by_owner = self._ids, self._by_owner
-        new_ids = {rule.rule_id for rule in copies}
+        new_ids = {row[0] for row in copies}
         if (
             owner_intent in by_owner
             or len(new_ids) != len(copies)
@@ -378,23 +458,24 @@ class Fabric:
             or not copies
             or (
                 selector.eth_src is None and selector.eth_dst is None and selector.vlan is None
-                and any(rule.in_port is None for rule in copies)
+                and any(row[6] is None for row in copies)
             )
         ):
             return self.install_rules(copies)
         ids |= new_ids
         by_owner[owner_intent] = copies
         tables = self._tables
-        for rule in copies:
-            tables[rule.device].add(rule)
+        for row in copies:
+            tables[row[1]].add(row)
         return len(copies)
 
     def remove_rules(self, owner_intent: int) -> int:
         """Remove every rule owned by the intent; unknown owners remove zero."""
-        owned = self._by_owner.pop(owner_intent, [])
-        for rule in owned:
-            self._tables[rule.device].discard(rule)
-            self._ids.discard(rule.rule_id)
+        owned = self._by_owner.pop(owner_intent, ())
+        tables, ids = self._tables, self._ids
+        for row in owned:
+            tables[row[1]].discard(row)
+            ids.discard(row[0])
         return len(owned)
 
     def clear(self) -> None:
@@ -426,12 +507,13 @@ class Fabric:
             device, in_port, hops = queue.popleft()
             if hops > ttl:
                 raise LoopDetectedError(f"packet exceeded TTL {ttl} at device {device}")
-            rule = tables[device].lookup((in_port, *header_fields))
-            if rule is None:
+            table = tables[device]
+            row = table.lookup((in_port, *header_fields))
+            if row is None:
                 misses.add(device)
                 continue
-            rule.packet_count += 1
-            for port in rule.treatment.outputs:
+            table._counts[row[0]] += 1
+            for port in row[3].outputs:
                 nxt = far_end.get((device, port))
                 if nxt is None:
                     delivered.add((ConnectPoint(device, port), hops))

@@ -1,4 +1,4 @@
-"""Intent lifecycle: request types, compilation to flow rules, and the store.
+"""Intent lifecycle: request types, compilation to flow rule rows, and the store.
 
 Submission is synchronous: when submit() returns, the intent has either
 reached INSTALLED or FAILED, and its rules (if any) sit in the fabric.
@@ -22,10 +22,10 @@ from .errors import (
 from .fabric import (
     DEFAULT_PRIORITY,
     Fabric,
-    FlowRule,
     TrafficSelector,
     TrafficTreatment,
     TreatmentCache,
+    rule_rows,
 )
 from .topology import ConnectPoint, HashedRecord, Path, Record, Topology, host_mac, shortest_path
 
@@ -217,18 +217,16 @@ def compile_point_to_point(
     intent: Intent,
     next_rule_id: Callable[[], int],
     treatments: Mapping[tuple[int, ...], TrafficTreatment],
-) -> list[FlowRule]:
-    """One rule per device along the shortest ingress->egress path."""
+) -> list[tuple]:
+    """One rule row per device along the shortest ingress->egress path."""
     request = intent.request
     assert isinstance(request, PointToPoint)
     path = shortest_path(topo, request.ingress.device, request.egress.device)
-    selector, owner, priority = intent.selector, intent.id, intent.priority
-    return [
-        FlowRule(
-            next_rule_id(), device, selector, treatments[(out_port,)], owner, priority, in_port
-        )
+    places = [
+        (device, in_port, treatments[(out_port,)])
         for device, in_port, out_port in _chain_rules(path, request.ingress, request.egress)
     ]
+    return rule_rows(places, intent.selector, intent.id, intent.priority, next_rule_id)
 
 
 def compile_single_to_multi(
@@ -236,8 +234,8 @@ def compile_single_to_multi(
     intent: Intent,
     next_rule_id: Callable[[], int],
     treatments: Mapping[tuple[int, ...], TrafficTreatment],
-) -> list[FlowRule]:
-    """A tree over the union of shortest paths to every egress.
+) -> list[tuple]:
+    """Rule rows for a tree over the union of shortest paths to every egress.
 
     The deterministic path tie-break keeps the union prefix-consistent, so
     each device has one arrival port; devices fanning out or carrying a
@@ -261,19 +259,11 @@ def compile_single_to_multi(
                         f"conflicting arrival ports at {link.dst.device}"
                     )
         outputs.setdefault(egress.device, set()).add(egress.port)
-    selector, owner, priority = intent.selector, intent.id, intent.priority
-    return [
-        FlowRule(
-            next_rule_id(),
-            device,
-            selector,
-            treatments[tuple(sorted(outputs[device]))],
-            owner,
-            priority,
-            in_ports[device],
-        )
+    places = [
+        (device, in_ports[device], treatments[tuple(sorted(outputs[device]))])
         for device in sorted(outputs)
     ]
+    return rule_rows(places, intent.selector, intent.id, intent.priority, next_rule_id)
 
 
 def compile_multi_to_single(
@@ -281,8 +271,8 @@ def compile_multi_to_single(
     intent: Intent,
     next_rule_id: Callable[[], int],
     treatments: Mapping[tuple[int, ...], TrafficTreatment],
-) -> list[FlowRule]:
-    """One rule per (device, arrival port) over the per-ingress paths.
+) -> list[tuple]:
+    """One rule row per (device, arrival port) over the per-ingress paths.
 
     Paths from different ingresses that reach a device on the same port
     collapse into one rule; distinct arrival ports coexist.
@@ -295,13 +285,11 @@ def compile_multi_to_single(
         path = shortest_path(topo, ingress.device, egress.device)
         for device, in_port, out_port in _chain_rules(path, ingress, egress):
             hops.setdefault((device, in_port), out_port)
-    selector, owner, priority = intent.selector, intent.id, intent.priority
-    return [
-        FlowRule(
-            next_rule_id(), device, selector, treatments[(out_port,)], owner, priority, in_port
-        )
+    places = [
+        (device, in_port, treatments[(out_port,)])
         for (device, in_port), out_port in sorted(hops.items())
     ]
+    return rule_rows(places, intent.selector, intent.id, intent.priority, next_rule_id)
 
 
 class IntentStore:
@@ -377,10 +365,11 @@ class Controller:
     It is reentrant because a host-to-host submit submits its legs.
 
     A request compiles once while it is live.  `_templates` maps each request
-    that has an INSTALLED leaf to [rules, users]: the rules one such intent
-    was compiled to, and how many INSTALLED leaves hold the entry.  An equal
-    request has the fabric install a copy of that template instead of
-    compiling (`Fabric.install_copy`).  The
+    that has an INSTALLED leaf to [rows, users]: the rule rows one such intent
+    was compiled to, the very tuple the fabric holds for it (`rows_of`), and
+    how many INSTALLED leaves hold the entry.  An equal request has the fabric
+    install a copy of that template instead of compiling
+    (`Fabric.install_copy`).  The
     rules depend only on the request and the topology, which never changes,
     so an equal request is not validated again either.
     """
@@ -413,8 +402,10 @@ class Controller:
 
         Validation and store-capacity problems raise, in that order, before
         anything is stored; compile and install problems are recorded on the
-        intent.
+        intent.  A priority must be an integer >= 1, and not a bool.
         """
+        if not isinstance(priority, int) or isinstance(priority, bool) or priority < 1:
+            raise IntentValidationError(f"priority must be a positive integer, got {priority!r}")
         if selector is None:
             selector = DEFAULT_SELECTOR
         with self._lock:
@@ -425,7 +416,7 @@ class Controller:
                 self._drive_host_to_host(intent)
                 return intent.id
 
-            # [rules, users]; a miss plants the spare entry, with no users yet
+            # [rows, users]; a miss plants the spare entry, with no users yet
             try:
                 entry = self._templates.setdefault(request, self._spare)
             except TypeError:  # unhashable, so no request: validation names it
@@ -442,7 +433,7 @@ class Controller:
                 self._spare = [None, 0]
                 self.store.transition(intent, _COMPILING)
                 try:
-                    rules = self._compile(intent)
+                    rows = self._compile(intent)
                 except (NoPathError, CompileError) as exc:
                     del self._templates[request]
                     self.store.transition(intent, _FAILED, failure=str(exc))
@@ -454,7 +445,7 @@ class Controller:
             self.store.transition(intent, _INSTALLING)
             try:
                 if compiled:
-                    self.fabric.install_rules(rules)
+                    self.fabric.install_rules(rows)
                 else:
                     # entry[0] is set only once install_rules accepted it here
                     self.fabric.install_copy(
@@ -466,13 +457,13 @@ class Controller:
                 self.store.transition(intent, _FAILED, failure=str(exc))
                 return intent.id
             if compiled:
-                entry[0] = rules
+                entry[0] = self.fabric.rows_of(intent.id)
             entry[1] += 1
             intent.template = entry
             self.store.transition(intent, _INSTALLED)
             return intent.id
 
-    def _compile(self, intent: Intent) -> list[FlowRule]:
+    def _compile(self, intent: Intent) -> list[tuple]:
         request = intent.request
         if isinstance(request, PointToPoint):
             return compile_point_to_point(
@@ -583,7 +574,7 @@ class Controller:
                 return sum(self.rule_count(child) for child in intent.child_ids)
             if intent.state is not _INSTALLED:
                 return 0
-            return len(self.fabric.rules_of(intent_id))
+            return len(self.fabric.rows_of(intent_id))
 
     def live_intents(self) -> int:
         with self._lock:

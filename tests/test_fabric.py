@@ -16,11 +16,13 @@ from intentd.fabric import (
     TrafficTreatment,
     TreatmentCache,
 )
-from intentd.topology import ConnectPoint, device_id
-from conftest import D1, D2, D3
+from intentd.topology import ConnectPoint, device_id, load_topology
+from conftest import CHAIN3_DOCUMENT, D1, D2, D3
 from randnet import DEFAULT_HEADER
 
 _ids = itertools.count(1)
+# the chain3 fixture's topology, for tests that hypothesis runs many times
+CHAIN3 = load_topology(CHAIN3_DOCUMENT)
 
 
 def rule(
@@ -37,6 +39,16 @@ def rule(
         priority=priority,
         in_port=in_port,
     )
+
+
+def packet_counts(fabric, *rules):
+    """Each rule's packet count, read back through the fabric by rule id."""
+    counted = {
+        held.rule_id: held.packet_count
+        for device in {r.device for r in rules}
+        for held in fabric.rules_for(device)
+    }
+    return tuple(counted[r.rule_id] for r in rules)
 
 
 def matches(r, in_port, header):
@@ -81,6 +93,21 @@ class TestFlowRule:
             rule(D1, 1, 2, rule_id=2**64)
         with pytest.raises(ValueError, match="in_port"):
             rule(D1, 0, 2)
+
+    @pytest.mark.parametrize("priority", ["x", True, 1.5, None])
+    def test_constructor_refuses_a_priority_that_is_not_an_integer(self, priority):
+        with pytest.raises(ValueError) as caught:
+            rule(D1, 1, 2, priority=priority)
+        assert str(caught.value) == f"priority must be an integer, got {priority!r}"
+
+    def test_a_row_reads_back_as_the_rule(self):
+        made = rule(D1, 1, (1, 2), priority=7, owner=3, eth_dst=_MACS[1], vlan=9)
+        assert made.row == (
+            made.rule_id, D1, made.selector, made.treatment, 3, 7, 1, (1, None, _MACS[1], 9)
+        )
+        again = FlowRule.from_row(made.row)
+        assert again == made and again.match_key == made.match_key
+        assert FlowRule.from_row(made.row, 4).packet_count == 4
 
 
 class TestTreatment:
@@ -284,7 +311,7 @@ class TestMatchOrder:
         report = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
         assert report.delivered == frozenset({(ConnectPoint(D1, 1), 1)})
         assert report.misses == frozenset()
-        assert (high.packet_count, low.packet_count) == (1, 0)
+        assert packet_counts(fabric, high, low) == (1, 0)
 
     def test_equal_priority_lower_rule_id_wins(self, chain3):
         fabric = Fabric(chain3)
@@ -298,8 +325,8 @@ class TestMatchOrder:
         # the earlier rule steers the packet toward d2, whose table is empty
         assert report.delivered == frozenset()
         assert report.misses == frozenset({D2})
-        assert first.packet_count == 1
-        assert bounce.packet_count == 0
+        assert packet_counts(fabric, first) == (1,)
+        assert packet_counts(fabric, bounce) == (0,)
 
     def test_higher_priority_wildcard_beats_exact_match(self, chain3):
         fabric = Fabric(chain3)
@@ -309,7 +336,7 @@ class TestMatchOrder:
         fabric.install_rules([wildcard])
         report = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
         assert report.delivered == frozenset({(ConnectPoint(D1, 1), 1)})
-        assert (wildcard.packet_count, exact.packet_count) == (1, 0)
+        assert packet_counts(fabric, wildcard, exact) == (1, 0)
 
     def test_equal_priority_lower_id_wins_across_field_combinations(self, chain3):
         fabric = Fabric(chain3)
@@ -320,7 +347,7 @@ class TestMatchOrder:
         report = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
         # the lower id steers the packet toward d2, whose table is empty
         assert report.misses == frozenset({D2})
-        assert (wildcard.packet_count, exact.packet_count) == (1, 0)
+        assert packet_counts(fabric, wildcard, exact) == (1, 0)
 
     def test_table_iterates_priority_then_id(self, chain3):
         fabric = Fabric(chain3)
@@ -346,27 +373,27 @@ class TestTableOrder:
     def test_mixed_priorities_and_descending_ids(self):
         table = FlowTable(D1)
         for rule_id, priority in [(9, 100), (8, 300), (7, 100), (6, 200), (5, 300), (4, 100)]:
-            table.add(numbered(rule_id, priority))
+            table.add(numbered(rule_id, priority).row)
         assert match_order(table) == [(300, 5), (300, 8), (200, 6), (100, 4), (100, 7), (100, 9)]
 
     def test_rising_ids_at_one_priority_keep_insertion_order(self):
         table = FlowTable(D1)
         for rule_id in (3, 10, 11, 40):
-            table.add(numbered(rule_id, 100))
+            table.add(numbered(rule_id, 100).row)
         assert match_order(table) == [(100, 3), (100, 10), (100, 11), (100, 40)]
 
     def test_discard_and_readd_keep_order(self):
         table = FlowTable(D1)
         rules = [numbered(rule_id, 100) for rule_id in (1, 2, 3, 4)]
         for r in rules:
-            table.add(r)
-        table.discard(rules[1])
-        table.discard(rules[3])
+            table.add(r.row)
+        table.discard(rules[1].row)
+        table.discard(rules[3].row)
         assert match_order(table) == [(100, 1), (100, 3)]
-        table.add(rules[1])
-        table.add(rules[3])
+        table.add(rules[1].row)
+        table.add(rules[3].row)
         assert match_order(table) == [(100, 1), (100, 2), (100, 3), (100, 4)]
-        table.discard(rules[0])
+        table.discard(rules[0].row)
         assert match_order(table) == [(100, 2), (100, 3), (100, 4)]
 
     def test_discard_after_out_of_order_add_keeps_order(self):
@@ -376,11 +403,11 @@ class TestTableOrder:
             for rule_id, priority in [(1, 100), (2, 100), (3, 200), (4, 100), (5, 300)]
         }
         for r in rules.values():
-            table.add(r)
-        table.discard(rules[3])
+            table.add(r.row)
+        table.discard(rules[3].row)
         assert match_order(table) == [(300, 5), (100, 1), (100, 2), (100, 4)]
-        table.add(numbered(6, 100))
-        table.add(numbered(7, 200))
+        table.add(numbered(6, 100).row)
+        table.add(numbered(7, 200).row)
         assert match_order(table) == [(300, 5), (200, 7), (100, 1), (100, 2), (100, 4), (100, 6)]
 
     @pytest.mark.parametrize("empty", ["discard", "clear"])
@@ -401,7 +428,7 @@ class TestTableOrder:
         assert match_order(table) == [(200, 30), (100, 31)]
         report = fabric.inject(ConnectPoint(D1, 1), DEFAULT_HEADER)
         assert report.delivered == frozenset({(ConnectPoint(D1, 1), 1)})
-        assert (hairpin.packet_count, low.packet_count) == (1, 0)
+        assert packet_counts(fabric, hairpin, low) == (1, 0)
 
 
 _MACS = ("aa:aa:aa:aa:aa:01", "aa:aa:aa:aa:aa:02")
@@ -459,12 +486,12 @@ class TestTupleSpaceMatch:
                 new = FlowRule(
                     rule_id, D1, selector, TrafficTreatment(outputs=(2,)), 1, priority, in_port
                 )
-                table.add(new)
+                table.add(new.row)
                 live[rule_id] = new
             elif op[0] == "discard":
                 if live:
                     gone = list(live.values())[op[1] % len(live)]
-                    table.discard(gone)
+                    table.discard(gone.row)
                     del live[gone.rule_id]
             else:
                 table.clear()
@@ -474,9 +501,109 @@ class TestTupleSpaceMatch:
                 live.values(), key=lambda r: (-r.priority, r.rule_id)
             )
             for in_port, header in _PACKETS:
-                assert table.match(in_port, header) is linear_match(
+                assert table.match(in_port, header) == linear_match(
                     live.values(), in_port, header
                 )
+
+
+_devices = st.sampled_from([D1, D2, D3])
+_rules = st.builds(
+    lambda rule_id, device, in_port, outputs, selector, priority, owner: FlowRule(
+        rule_id, device, selector, TrafficTreatment(outputs), owner, priority, in_port
+    ),
+    st.integers(1, 30),
+    _devices,
+    _in_ports,
+    # port 9 exists on no device, so some batches are refused
+    st.sampled_from([(1,), (2,), (1, 2), (9,)]),
+    _selectors,
+    st.sampled_from([100, 200]),
+    st.integers(1, 3),
+)
+_fabric_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("install"), st.lists(_rules, min_size=1, max_size=4)),
+        st.tuples(st.just("remove"), st.integers(1, 3)),
+    ),
+    max_size=12,
+)
+
+
+class TestReadBack:
+    """The fabric holds rows; what its readers build from them equals the
+    FlowRules handed in."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_fabric_ops)
+    def test_an_accepted_batch_reads_back_equal(self, ops):
+        fabric = Fabric(CHAIN3)
+        owned: dict[int, list[FlowRule]] = {}
+        for op in ops:
+            if op[0] == "install":
+                try:
+                    fabric.install_rules(op[1])
+                except (DuplicateRuleError, UnknownDeviceError, ValueError):
+                    pass  # refused: the reads below must not change
+                else:
+                    for r in op[1]:
+                        owned.setdefault(r.owner_intent, []).append(r)
+            else:
+                assert fabric.remove_rules(op[1]) == len(owned.pop(op[1], []))
+            live = [r for rules in owned.values() for r in rules]
+            assert fabric.rule_count() == len(live)
+            for owner in (1, 2, 3):
+                assert fabric.rules_of(owner) == owned.get(owner, [])
+                assert fabric.rows_of(owner) == tuple(r.row for r in owned.get(owner, []))
+            for device in (D1, D2, D3):
+                held = [r for r in live if r.device == device]
+                assert fabric.rules_for(device) == sorted(
+                    held, key=lambda r: (-r.priority, r.rule_id)
+                )
+                for in_port, header in _PACKETS:
+                    assert fabric._tables[device].match(in_port, header) == linear_match(
+                        held, in_port, header
+                    )
+
+
+class TestPacketCounts:
+    def test_counts_are_each_rules_hits_and_restart_on_reinstall(self, chain3):
+        fabric = Fabric(chain3)
+        tagged = PacketHeader(DEFAULT_HEADER.eth_src, DEFAULT_HEADER.eth_dst, 7)
+        sel = {"eth_dst": DEFAULT_HEADER.eth_dst}
+        chain = [rule(d, 1, 2, owner=1, rule_id=n, **sel) for n, d in ((1, D1), (2, D2), (3, D3))]
+        hairpin = rule(D1, 1, 1, priority=200, owner=2, rule_id=4, vlan=7)
+        fabric.install_rules(chain)
+        fabric.install_rules([hairpin])
+
+        def counts():
+            by_owner = {r.rule_id: r.packet_count for o in (1, 2) for r in fabric.rules_of(o)}
+            by_device = {r.rule_id: r.packet_count for d in (D1, D2, D3) for r in fabric.rules_for(d)}
+            assert by_owner == by_device
+            return by_owner
+
+        assert counts() == {1: 0, 2: 0, 3: 0, 4: 0}
+        for header in (DEFAULT_HEADER, tagged, DEFAULT_HEADER, tagged, DEFAULT_HEADER):
+            fabric.inject(ConnectPoint(D1, 1), header)
+        # three untagged walks cross the chain; the hairpin takes both tagged ones
+        assert counts() == {1: 3, 2: 3, 3: 3, 4: 2}
+        assert fabric._tables[D1].match(1, tagged).packet_count == 2
+        assert fabric._tables[D2].match(1, DEFAULT_HEADER).packet_count == 3
+        assert [r.packet_count for r in [*chain, hairpin]] == [0, 0, 0, 0]  # handed-in values
+
+        # removed, then reinstalled with the same ids and match keys
+        fabric.remove_rules(2)
+        assert counts() == {1: 3, 2: 3, 3: 3}
+        fabric.install_rules([hairpin])
+        assert counts() == {1: 3, 2: 3, 3: 3, 4: 0}
+        fabric.inject(ConnectPoint(D1, 1), tagged)
+        assert counts() == {1: 3, 2: 3, 3: 3, 4: 1}
+        fabric.remove_rules(1)
+        fabric.install_rules(chain)
+        assert counts() == {1: 0, 2: 0, 3: 0, 4: 1}
+        fabric.clear()
+        fabric.install_rules(chain)
+        fabric.install_rules([hairpin])
+        assert counts() == {1: 0, 2: 0, 3: 0, 4: 0}
 
 
 class TestInstallCopy:
@@ -530,9 +657,11 @@ class TestInstallCopy:
     )
     def test_a_copy_installs_what_install_rules_would(self, chain3, selector, priority):
         copied, installed = self.twin(chain3), self.twin(chain3)
-        like = copied.rules_of(1)
+        like = copied.rows_of(1)
         assert copied.install_copy(like, 3, selector, priority, iter(range(10, 99)).__next__) == 4
-        installed.install_rules(self.copies(like, 3, selector, priority, range(10, 99)))
+        installed.install_rules(
+            self.copies(installed.rules_of(1), 3, selector, priority, range(10, 99))
+        )
         assert self.observed(copied) == self.observed(installed)
         assert [r.rule_id for r in copied.rules_of(3)] == [10, 11, 12, 13]
         assert copied.remove_rules(3) == installed.remove_rules(3) == 4
@@ -557,9 +686,9 @@ class TestInstallCopy:
         self, chain3, owner, selector, priority, rule_ids, template_in_port, expected
     ):
         copied, installed = self.twin(chain3, template_in_port), self.twin(chain3, template_in_port)
-        like = copied.rules_of(1)
+        like, rules = copied.rows_of(1), installed.rules_of(1)
         assert self.outcome(
-            lambda: installed.install_rules(self.copies(like, owner, selector, priority, rule_ids))
+            lambda: installed.install_rules(self.copies(rules, owner, selector, priority, rule_ids))
         ) == expected
         assert self.outcome(
             lambda: copied.install_copy(like, owner, selector, priority, iter(rule_ids).__next__)

@@ -27,6 +27,7 @@ from intentd.fabric import (
     PacketHeader,
     TrafficSelector,
     TrafficTreatment,
+    TreatmentCache,
 )
 from intentd.intents import (
     TRANSITIONS,
@@ -162,6 +163,43 @@ class TestValidation:
             controller.submit(PointToPoint(CP(D1, 1), CP(D1, 1)))
         assert controller.list() == []
         assert controller.live_intents() == 0
+
+
+class TestPriority:
+    """submit refuses a priority that REST and the CLI refuse, before anything
+    is stored: one that is not an integer >= 1, or is a bool."""
+
+    @staticmethod
+    def snapshot(ctrl: Controller) -> tuple:
+        return (
+            [(i.id, i.state, i.child_ids) for i in ctrl.list()],
+            ctrl.live_intents(),
+            ctrl.installed_rules(),
+            {device: ctrl.fabric.rules_for(device) for device in ctrl.topology.device_ids},
+        )
+
+    @pytest.mark.parametrize(
+        "priority", ["x", 0, -3, True, False, 1.5, None],
+        ids=["str", "zero", "negative", "true", "false", "float", "none"],
+    )
+    @pytest.mark.parametrize(
+        "request_",
+        [PointToPoint(CP(device_id(1), 2), CP(device_id(5), 2)), HostToHost("h1", "h2")],
+        ids=["P2P", "H2H"],
+    )
+    def test_refused_before_anything_is_stored(self, priority, request_):
+        ctrl = Controller(default_topology())
+        first = ctrl.submit(PointToPoint(CP(device_id(1), 1), CP(device_id(5), 2)))
+        before = self.snapshot(ctrl)
+        for _ in range(2):  # a refused submit leaves no template behind either
+            with pytest.raises(IntentValidationError) as caught:
+                ctrl.submit(request_, priority=priority)
+            assert str(caught.value) == f"priority must be a positive integer, got {priority!r}"
+            assert self.snapshot(ctrl) == before
+        assert ctrl._templates.keys() == {ctrl.get(first).request}
+        again = ctrl.submit(request_, priority=1)
+        assert ctrl.get(again).state is IntentState.INSTALLED
+        assert ctrl.rule_count(first) == 5
 
 
 class TestCompilation:
@@ -379,7 +417,7 @@ class TestLifecycleAccounting:
         class Recording(Fabric):
             def install_rules(self, rules):
                 installed = super().install_rules(rules)
-                owner = rules[0].owner_intent
+                owner = rules[0][4]  # a row holds FlowRule.row's fields: the owner is 5th
                 seen.append((ctrl.get(owner).state, ctrl.rule_count(owner)))
                 return installed
 
@@ -541,6 +579,49 @@ class TestTemplates:
                 ctrl.submit(reverse)
             assert self.snapshot(ctrl) == before
         assert reverse not in ctrl._templates
+
+    @pytest.mark.parametrize("topology, request_", ONE_OF_EACH_TYPE, ids=["P2P", "S2M", "M2S", "H2H"])
+    def test_template_hits_build_no_flow_rule(self, request, monkeypatch, topology, request_):
+        topo = request.getfixturevalue(topology)
+        ctrl = Controller(topo)
+        ctrl.submit(request_)
+        built = []
+        init, from_row = FlowRule.__init__, FlowRule.from_row.__func__
+
+        def counted_init(rule, *args, **kwargs):
+            built.append("__init__")
+            init(rule, *args, **kwargs)
+
+        def counted_from_row(cls, *args):
+            built.append("from_row")
+            return from_row(cls, *args)
+
+        monkeypatch.setattr(FlowRule, "__init__", counted_init)
+        monkeypatch.setattr(FlowRule, "from_row", classmethod(counted_from_row))
+        # with the template's own selector, and with another one
+        hits = [
+            ctrl.submit(request_, priority=100 + n % 3, selector=self.SECOND if n % 2 else None)
+            for n in range(100)
+        ]
+        counts = [ctrl.rule_count(hit) for hit in hits]  # a count builds no rule either
+        assert built == []
+        monkeypatch.undo()
+        compilers = {
+            PointToPoint: intents.compile_point_to_point,
+            SingleToMultiPoint: intents.compile_single_to_multi,
+            MultiToSinglePoint: intents.compile_multi_to_single,
+        }
+        for hit, count in zip(hits, counts):
+            assert ctrl.get(hit).state is IntentState.INSTALLED
+            leaves = leaves_of(ctrl, hit)
+            assert count == sum(len(ctrl.fabric.rules_of(leaf)) for leaf in leaves) > 0
+            for leaf in leaves:
+                intent = ctrl.get(leaf)
+                rules = ctrl.fabric.rules_of(leaf)
+                # a cold compile of the leaf, handed the ids its copy took
+                ids = iter([r.rule_id for r in rules]).__next__
+                rows = compilers[type(intent.request)](topo, intent, ids, TreatmentCache())
+                assert rules == [FlowRule(*row[:7]) for row in rows]
 
     @pytest.mark.parametrize("topology, request_", ONE_OF_EACH_TYPE, ids=["P2P", "S2M", "M2S", "H2H"])
     def test_stamped_rules_equal_a_cold_compile(self, request, compiles, topology, request_):
