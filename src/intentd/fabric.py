@@ -180,8 +180,9 @@ def _match_order(row: tuple) -> tuple[int, int]:
 
 
 class _Rows(dict):
-    """Rows that share a match key, by rule id in match order; `last` is the
-    last of them, read on every add without an iterator."""
+    """Rows that share a match key, by rule id in match order.  `last` sorts
+    at or after every row held: the last row added in order, which a discard
+    leaves in place, so neither an add nor a discard iterates to find it."""
 
     __slots__ = ("last",)
 
@@ -201,7 +202,7 @@ class FlowTable:
     Rows are grouped by their match key.  `_index` maps a key to its only row
     or, when several share it, to a `_Rows` dict of them by rule id kept in
     match order (descending priority, then rule id), so a key's first row is
-    its best.  A row that sorts after the key's last one (one priority and
+    its best.  A row that sorts after the key's `last` (one priority and
     rising ids, which is what the controller produces) is appended; any other
     add rebuilds that key's dict once.  `_probes` holds one getter per
     combination of set fields present (at most 16), which turns a packet into
@@ -279,8 +280,6 @@ class FlowTable:
             del held[row[0]]
             if len(held) == 1:
                 self._index[key] = next(iter(held.values()))
-            elif held.last[0] == row[0]:
-                held.last = next(reversed(held.values()))
         self._counts.pop(row[0], None)
         self._len -= 1
 

@@ -369,9 +369,9 @@ class Controller:
     was compiled to, the very tuple the fabric holds for it (`rows_of`), and
     how many INSTALLED leaves hold the entry.  An equal request has the fabric
     install a copy of that template instead of compiling
-    (`Fabric.install_copy`).  The
-    rules depend only on the request and the topology, which never changes,
-    so an equal request is not validated again either.
+    (`Fabric.install_copy`).  The rules depend only on the request and the
+    topology, which never changes, so an equal request is not validated again
+    either.
     """
 
     def __init__(

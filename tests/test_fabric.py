@@ -506,13 +506,12 @@ class TestTupleSpaceMatch:
                 )
 
 
-_devices = st.sampled_from([D1, D2, D3])
 _rules = st.builds(
     lambda rule_id, device, in_port, outputs, selector, priority, owner: FlowRule(
         rule_id, device, selector, TrafficTreatment(outputs), owner, priority, in_port
     ),
     st.integers(1, 30),
-    _devices,
+    st.sampled_from([D1, D2, D3]),
     _in_ports,
     # port 9 exists on no device, so some batches are refused
     st.sampled_from([(1,), (2,), (1, 2), (9,)]),

@@ -621,7 +621,9 @@ class TestTemplates:
                 # a cold compile of the leaf, handed the ids its copy took
                 ids = iter([r.rule_id for r in rules]).__next__
                 rows = compilers[type(intent.request)](topo, intent, ids, TreatmentCache())
-                assert rules == [FlowRule(*row[:7]) for row in rows]
+                cold = [FlowRule(*row[:7]) for row in rows]
+                assert rules == cold
+                assert [r.row for r in rules] == [r.row for r in cold]  # match keys too
 
     @pytest.mark.parametrize("topology, request_", ONE_OF_EACH_TYPE, ids=["P2P", "S2M", "M2S", "H2H"])
     def test_stamped_rules_equal_a_cold_compile(self, request, compiles, topology, request_):
