@@ -5,7 +5,7 @@ synthetic packet through the tables to check what a rule set actually does.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import _count_elements, deque
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -95,8 +95,8 @@ class FlowRule(Record):
     )
     __slots__ = _fields + ("match_key",)
     # the rule as the fabric holds it, a plain tuple read in C: its fields in
-    # order, with match_key in place of packet_count (`rule_rows` builds rows
-    # as the compilers do)
+    # order, with match_key in place of packet_count (`Fabric.install_places`
+    # builds the rows of a compiled batch the same way)
     row = property(attrgetter(*_fields[:-1], "match_key"))
 
     def __init__(
@@ -137,26 +137,6 @@ class FlowRule(Record):
         return rule
 
 
-def rule_rows(
-    places: Iterable[tuple[str, int | None, TrafficTreatment]],
-    selector: TrafficSelector,
-    owner_intent: int,
-    priority: int,
-    next_rule_id: Callable[[], int],
-) -> list[tuple]:
-    """One intent's rows, one per (device, in_port, treatment) place, each
-    with a fresh id from `next_rule_id`: the `FlowRule.row` of each rule that
-    `FlowRule(...)` would build, without its checks."""
-    eth_src, eth_dst, vlan = selector.eth_src, selector.eth_dst, selector.vlan
-    return [
-        (
-            next_rule_id(), device, selector, treatment, owner_intent, priority, in_port,
-            (in_port, eth_src, eth_dst, vlan),
-        )
-        for device, in_port, treatment in places
-    ]
-
-
 class DeliveryReport(FrozenRecord):
     """Where one injected packet (and its copies) ended up.  `dropped_at` is
     always empty, since every treatment has an output; it stays for callers
@@ -173,6 +153,12 @@ class DeliveryReport(FrozenRecord):
         object.__setattr__(self, "delivered", delivered)
         object.__setattr__(self, "dropped_at", dropped_at)
         object.__setattr__(self, "misses", misses)
+
+
+# a row's rule id, its (device, in_port) place and its in_port, read in C
+_rule_id = itemgetter(0)
+_place = itemgetter(1, 6)
+_in_port = itemgetter(6)
 
 
 def _match_order(row: tuple) -> tuple[int, int]:
@@ -209,17 +195,19 @@ class FlowTable:
     the key a matching row of that combination must have; it only grows
     until `clear()`.  A lookup probes each combination once and takes the best
     head across them.  `_counts` maps a rule id to the packets its rule
-    matched: only the packet walk writes it, `discard` drops the rule's count,
-    and the readers (iteration, `match`) copy it into the FlowRules they
-    build.  Rule ids must be unique; the fabric checks that.  Owned by one
-    fabric and not thread-safe on its own.
+    matched, and the readers (iteration, `match`) copy it into the FlowRules
+    they build.  It is the fabric's, shared by all of its tables, which
+    writes it in the packet walk and drops a rule's count when the rule goes
+    (a table made on its own gets an empty one).  Rule ids must be unique;
+    the fabric checks that.  Owned by one fabric and not thread-safe on its
+    own.
     """
 
-    def __init__(self, device: str) -> None:
+    def __init__(self, device: str, counts: dict[int, int] | None = None) -> None:
         self.device = device
         self._index: dict[tuple, tuple | _Rows] = {}
         self._probes: dict[tuple[int, ...], itemgetter] = {}
-        self._counts: defaultdict[int, int] = defaultdict(int)
+        self._counts = {} if counts is None else counts
         self._len = 0
 
     def __len__(self) -> int:
@@ -271,7 +259,7 @@ class FlowTable:
         self._len += 1
 
     def discard(self, row: tuple) -> None:
-        """Remove a row this table holds, and its rule's packet count."""
+        """Remove a row this table holds; its rule's count is the fabric's to drop."""
         key = row[7]
         held = self._index[key]
         if type(held) is not _Rows:
@@ -280,7 +268,6 @@ class FlowTable:
             del held[row[0]]
             if len(held) == 1:
                 self._index[key] = next(iter(held.values()))
-        self._counts.pop(row[0], None)
         self._len -= 1
 
     def match(self, in_port: int, header: PacketHeader) -> FlowRule | None:
@@ -309,7 +296,6 @@ class FlowTable:
     def clear(self) -> None:
         self._index.clear()
         self._probes.clear()
-        self._counts.clear()
         self._len = 0
 
 
@@ -319,16 +305,18 @@ class Fabric:
     The rule store holds rows (see `FlowTable`): each table holds its
     device's, and `_by_owner` holds each owner's as one immutable tuple in
     install order, which `rows_of` hands out and callers may keep.  The
-    readers build FlowRules from them.
+    readers build FlowRules from them, with each rule's packet count from
+    `_counts` (rule id -> packets matched), which every table shares: the
+    packet walk adds to it once per walk, and removing a rule drops its count.
 
     Owned by one controller and not thread-safe on its own: the controller's
     lock guards it.  Walk packets only while nothing else uses the fabric.
     """
 
     def __init__(self, topology: Topology) -> None:
-        self._topo = topology
+        self._counts: dict[int, int] = {}
         self._tables: dict[str, FlowTable] = {
-            dev: FlowTable(dev) for dev in topology.device_ids
+            dev: FlowTable(dev, self._counts) for dev in topology.device_ids
         }
         # read off the immutable topology once: each device's ports, and the
         # (device, port) at the far end of every link, keyed by its near end
@@ -362,8 +350,9 @@ class Fabric:
     def install_rules(self, rules: Sequence[FlowRule | tuple]) -> int:
         """Install a batch atomically; on any error nothing is installed.
 
-        Each item is a FlowRule or a row as `rule_rows` builds it; a FlowRule
-        is stored as its row.
+        Each item is a FlowRule or a row (see `FlowTable`); a FlowRule is
+        stored as its row.  A compiled batch takes `install_places`, a copy
+        of one `install_copy`; both come here when they refuse.
         """
         rows = tuple([rule if type(rule) is tuple else rule.row for rule in rules])
         port_sets, ids, by_owner = self._ports, self._ids, self._by_owner
@@ -410,6 +399,67 @@ class Fabric:
             by_owner[owner] = by_owner[owner] + owned if owner in by_owner else owned
         return len(rows)
 
+    def install_places(
+        self,
+        places: Iterable[tuple[str, int | None, TrafficTreatment]],
+        owner_intent: int,
+        selector: TrafficSelector,
+        priority: int,
+        next_rule_id: Callable[[], int],
+    ) -> tuple[tuple, ...]:
+        """Install a compiled batch atomically, one rule per (device, in_port,
+        treatment) place with a fresh id from `next_rule_id`, `owner_intent`,
+        `selector` and `priority`; returns the owner's rows (`rows_of`).
+
+        The rows share one owner, selector and priority, so `install_rules`'
+        checks read per place: each place's device, ports and match are
+        checked as its row is built, two rows clash exactly when they share a
+        (device, in_port) place, and the ids are checked for the whole batch.
+        A batch that fails a check, or whose owner is live, goes to
+        `install_rules` with the rows built so far.  That raises what it
+        raises for the whole batch, since it checks rows in order and the
+        rows end at the first place that fails; a live owner whose keys do
+        not clash installs.
+        """
+        eth_src, eth_dst, vlan = selector.eth_src, selector.eth_dst, selector.vlan
+        # with no header field set, a place that matches any port has an empty match
+        no_field = eth_src is None and eth_dst is None and vlan is None
+        port_sets = self._ports
+        rows: list[tuple] = []
+        append = rows.append
+        refused = False
+        for device, in_port, treatment in places:
+            append((
+                next_rule_id(), device, selector, treatment, owner_intent, priority, in_port,
+                (in_port, eth_src, eth_dst, vlan),
+            ))
+            ports = port_sets.get(device)
+            if (
+                ports is None
+                or not ports.issuperset(treatment.outputs)
+                or (no_field if in_port is None else in_port not in ports)
+            ):
+                refused = True
+                break
+        ids, by_owner = self._ids, self._by_owner
+        new_ids = set(map(_rule_id, rows))
+        if (
+            refused
+            or owner_intent in by_owner
+            or not rows
+            or len(set(map(_place, rows))) != len(rows)
+            or len(new_ids) != len(rows)
+            or not ids.isdisjoint(new_ids)
+        ):
+            self.install_rules(rows)
+            return self.rows_of(owner_intent)
+        ids |= new_ids
+        owned = by_owner[owner_intent] = tuple(rows)
+        tables = self._tables
+        for row in owned:
+            tables[row[1]].add(row)
+        return owned
+
     def install_copy(
         self,
         like: Sequence[tuple],
@@ -449,7 +499,7 @@ class Fabric:
                 for row in like
             ])
         ids, by_owner = self._ids, self._by_owner
-        new_ids = {row[0] for row in copies}
+        new_ids = set(map(_rule_id, copies))
         if (
             owner_intent in by_owner
             or len(new_ids) != len(copies)
@@ -457,7 +507,7 @@ class Fabric:
             or not copies
             or (
                 selector.eth_src is None and selector.eth_dst is None and selector.vlan is None
-                and any(row[6] is None for row in copies)
+                and None in map(_in_port, copies)
             )
         ):
             return self.install_rules(copies)
@@ -471,10 +521,14 @@ class Fabric:
     def remove_rules(self, owner_intent: int) -> int:
         """Remove every rule owned by the intent; unknown owners remove zero."""
         owned = self._by_owner.pop(owner_intent, ())
-        tables, ids = self._tables, self._ids
+        tables = self._tables
         for row in owned:
             tables[row[1]].discard(row)
-            ids.discard(row[0])
+        self._ids.difference_update(map(_rule_id, owned))
+        if self._counts:  # only a fabric that has walked a packet holds counts
+            pop = self._counts.pop
+            for row in owned:
+                pop(row[0], None)
         return len(owned)
 
     def clear(self) -> None:
@@ -482,6 +536,7 @@ class Fabric:
             table.clear()
         self._ids.clear()
         self._by_owner.clear()
+        self._counts.clear()
 
     def inject(self, ingress: ConnectPoint, header: PacketHeader) -> DeliveryReport:
         """Walk a packet from an ingress point through the tables.
@@ -491,31 +546,38 @@ class Fabric:
         infrastructure port continues at the far end of the link.  No
         treatment rewrites the header, so every copy carries the ingress
         header.  hop counts include the ingress device, and a branch running
-        past len(devices) + 1 hops raises LoopDetectedError.
+        past len(devices) + 1 hops raises LoopDetectedError.  Each matched
+        rule's count goes up once per match, in one update as the walk ends.
         """
-        if not self._topo.has_connect_point(ingress):
+        ports = self._ports.get(ingress.device)
+        if ports is None or ingress.port not in ports:
             raise UnknownDeviceError(f"unknown connect point {ingress}")
         ttl = len(self._tables) + 1
         tables = self._tables
         far_end = self._far_end
-        header_fields = (header.eth_src, header.eth_dst, header.vlan, None)
+        eth_src, eth_dst, vlan = header.eth_src, header.eth_dst, header.vlan
         delivered: set[tuple[ConnectPoint, int]] = set()
         misses: set[str] = set()
+        hits: list[int] = []  # the matched rules' ids, counted as the walk ends
+        hit = hits.append
         queue = deque([(ingress.device, ingress.port, 1)])
-        while queue:
-            device, in_port, hops = queue.popleft()
-            if hops > ttl:
-                raise LoopDetectedError(f"packet exceeded TTL {ttl} at device {device}")
-            table = tables[device]
-            row = table.lookup((in_port, *header_fields))
-            if row is None:
-                misses.add(device)
-                continue
-            table._counts[row[0]] += 1
-            for port in row[3].outputs:
-                nxt = far_end.get((device, port))
-                if nxt is None:
-                    delivered.add((ConnectPoint(device, port), hops))
-                else:
-                    queue.append((*nxt, hops + 1))
+        try:
+            while queue:
+                device, in_port, hops = queue.popleft()
+                if hops > ttl:
+                    raise LoopDetectedError(f"packet exceeded TTL {ttl} at device {device}")
+                row = tables[device].lookup((in_port, eth_src, eth_dst, vlan, None))
+                if row is None:
+                    misses.add(device)
+                    continue
+                hit(row[0])
+                for port in row[3].outputs:
+                    nxt = far_end.get((device, port))
+                    if nxt is None:
+                        delivered.add((ConnectPoint(device, port), hops))
+                    else:
+                        queue.append((*nxt, hops + 1))
+        finally:
+            # the C loop behind Counter.update, without its Python-level checks
+            _count_elements(self._counts, hits)
         return DeliveryReport(frozenset(delivered), frozenset(), frozenset(misses))

@@ -1,4 +1,4 @@
-"""Intent lifecycle: request types, compilation to flow rule rows, and the store.
+"""Intent lifecycle: request types, compilation to flow rule places, and the store.
 
 Submission is synchronous: when submit() returns, the intent has either
 reached INSTALLED or FAILED, and its rules (if any) sit in the fabric.
@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import (
     CompileError,
@@ -25,7 +25,6 @@ from .fabric import (
     TrafficSelector,
     TrafficTreatment,
     TreatmentCache,
-    rule_rows,
 )
 from .topology import ConnectPoint, HashedRecord, Path, Record, Topology, host_mac, shortest_path
 
@@ -212,36 +211,36 @@ def _chain_rules(
     return hops
 
 
+# A compiler returns one (device, in_port, treatment) place per rule, which
+# `Fabric.install_places` installs with the intent's selector and priority.
+Place = tuple[str, int, TrafficTreatment]
+
+
 def compile_point_to_point(
     topo: Topology,
-    intent: Intent,
-    next_rule_id: Callable[[], int],
+    request: PointToPoint,
     treatments: Mapping[tuple[int, ...], TrafficTreatment],
-) -> list[tuple]:
-    """One rule row per device along the shortest ingress->egress path."""
-    request = intent.request
+) -> list[Place]:
+    """One place per device along the shortest ingress->egress path."""
     assert isinstance(request, PointToPoint)
     path = shortest_path(topo, request.ingress.device, request.egress.device)
-    places = [
+    return [
         (device, in_port, treatments[(out_port,)])
         for device, in_port, out_port in _chain_rules(path, request.ingress, request.egress)
     ]
-    return rule_rows(places, intent.selector, intent.id, intent.priority, next_rule_id)
 
 
 def compile_single_to_multi(
     topo: Topology,
-    intent: Intent,
-    next_rule_id: Callable[[], int],
+    request: SingleToMultiPoint,
     treatments: Mapping[tuple[int, ...], TrafficTreatment],
-) -> list[tuple]:
-    """Rule rows for a tree over the union of shortest paths to every egress.
+) -> list[Place]:
+    """Places for a tree over the union of shortest paths to every egress.
 
     The deterministic path tie-break keeps the union prefix-consistent, so
     each device has one arrival port; devices fanning out or carrying a
     local egress get a multi-output treatment.
     """
-    request = intent.request
     assert isinstance(request, SingleToMultiPoint)
     ingress = request.ingress
     in_ports: dict[str, int] = {ingress.device: ingress.port}
@@ -259,25 +258,22 @@ def compile_single_to_multi(
                         f"conflicting arrival ports at {link.dst.device}"
                     )
         outputs.setdefault(egress.device, set()).add(egress.port)
-    places = [
+    return [
         (device, in_ports[device], treatments[tuple(sorted(outputs[device]))])
         for device in sorted(outputs)
     ]
-    return rule_rows(places, intent.selector, intent.id, intent.priority, next_rule_id)
 
 
 def compile_multi_to_single(
     topo: Topology,
-    intent: Intent,
-    next_rule_id: Callable[[], int],
+    request: MultiToSinglePoint,
     treatments: Mapping[tuple[int, ...], TrafficTreatment],
-) -> list[tuple]:
-    """One rule row per (device, arrival port) over the per-ingress paths.
+) -> list[Place]:
+    """One place per (device, arrival port) over the per-ingress paths.
 
     Paths from different ingresses that reach a device on the same port
     collapse into one rule; distinct arrival ports coexist.
     """
-    request = intent.request
     assert isinstance(request, MultiToSinglePoint)
     egress = request.egress
     hops: dict[tuple[str, int], int] = {}
@@ -285,11 +281,10 @@ def compile_multi_to_single(
         path = shortest_path(topo, ingress.device, egress.device)
         for device, in_port, out_port in _chain_rules(path, ingress, egress):
             hops.setdefault((device, in_port), out_port)
-    places = [
+    return [
         (device, in_port, treatments[(out_port,)])
         for (device, in_port), out_port in sorted(hops.items())
     ]
-    return rule_rows(places, intent.selector, intent.id, intent.priority, next_rule_id)
 
 
 class IntentStore:
@@ -366,8 +361,9 @@ class Controller:
 
     A request compiles once while it is live.  `_templates` maps each request
     that has an INSTALLED leaf to [rows, users]: the rule rows one such intent
-    was compiled to, the very tuple the fabric holds for it (`rows_of`), and
-    how many INSTALLED leaves hold the entry.  An equal request has the fabric
+    was compiled to, the very tuple the fabric holds for it (`rows_of`, which
+    `Fabric.install_places` returns), and how many INSTALLED leaves hold the
+    entry.  An equal request has the fabric
     install a copy of that template instead of compiling
     (`Fabric.install_copy`).  The rules depend only on the request and the
     topology, which never changes, so an equal request is not validated again
@@ -433,7 +429,7 @@ class Controller:
                 self._spare = [None, 0]
                 self.store.transition(intent, _COMPILING)
                 try:
-                    rows = self._compile(intent)
+                    places = self._compile(request)
                 except (NoPathError, CompileError) as exc:
                     del self._templates[request]
                     self.store.transition(intent, _FAILED, failure=str(exc))
@@ -445,9 +441,11 @@ class Controller:
             self.store.transition(intent, _INSTALLING)
             try:
                 if compiled:
-                    self.fabric.install_rules(rows)
+                    entry[0] = self.fabric.install_places(
+                        places, intent.id, selector, priority, self._next_rule_id
+                    )
                 else:
-                    # entry[0] is set only once install_rules accepted it here
+                    # entry[0] is set only once install_places accepted it here
                     self.fabric.install_copy(
                         entry[0], intent.id, selector, priority, self._next_rule_id
                     )
@@ -456,27 +454,18 @@ class Controller:
                     del self._templates[request]
                 self.store.transition(intent, _FAILED, failure=str(exc))
                 return intent.id
-            if compiled:
-                entry[0] = self.fabric.rows_of(intent.id)
             entry[1] += 1
             intent.template = entry
             self.store.transition(intent, _INSTALLED)
             return intent.id
 
-    def _compile(self, intent: Intent) -> list[tuple]:
-        request = intent.request
+    def _compile(self, request: IntentRequest) -> list[Place]:
         if isinstance(request, PointToPoint):
-            return compile_point_to_point(
-                self.topology, intent, self._next_rule_id, self._treatments
-            )
+            return compile_point_to_point(self.topology, request, self._treatments)
         if isinstance(request, SingleToMultiPoint):
-            return compile_single_to_multi(
-                self.topology, intent, self._next_rule_id, self._treatments
-            )
+            return compile_single_to_multi(self.topology, request, self._treatments)
         if isinstance(request, MultiToSinglePoint):
-            return compile_multi_to_single(
-                self.topology, intent, self._next_rule_id, self._treatments
-            )
+            return compile_multi_to_single(self.topology, request, self._treatments)
         raise CompileError(f"no compiler for {type(request).__name__}")
 
     def _drive_host_to_host(self, intent: Intent) -> None:

@@ -66,11 +66,11 @@ def tree_searches(monkeypatch) -> list[str]:
 
 @pytest.fixture
 def installs(monkeypatch) -> list[str]:
-    """The name of every fabric install call, in call order: `install_rules`
+    """The name of every fabric install call, in call order: `install_places`
     for a compiled batch, `install_copy` for a template hit (and then
-    `install_rules` too, when a copy falls back to it)."""
+    `install_rules` too, when either falls back to it)."""
     calls = []
-    for name in ("install_rules", "install_copy"):
+    for name in ("install_rules", "install_places", "install_copy"):
         method = getattr(Fabric, name)
 
         def counted(self, *args, name=name, method=method):

@@ -69,7 +69,7 @@ class TestTimedAdd:
     def test_one_compiled_install_then_copies(self, controller, installs):
         request = PointToPoint(ConnectPoint(D1, 1), ConnectPoint(D3, 2))
         assert timed_add(controller, request, 50).installed == 50
-        assert installs == ["install_rules"] + ["install_copy"] * 49
+        assert installs == ["install_places"] + ["install_copy"] * 49
         assert controller.installed_rules() == 150
 
     def test_failures_are_counted_not_raised(self):

@@ -697,6 +697,120 @@ class TestInstallCopy:
             assert self.observed(copied) == self.observed(self.twin(chain3, template_in_port))
 
 
+class TestInstallPlaces:
+    """`install_places` against `install_rules` given the rules its places
+    make, on twin fabrics that hold one rule of owner 2."""
+
+    TEMPLATE = TrafficSelector(eth_dst=_MACS[1])
+    OTHER = TrafficSelector(eth_src=_MACS[0], vlan=7)
+    # distinct (device, in_port) places, as a compiler makes them
+    PLACES = [
+        (D1, 1, TrafficTreatment((2,))),
+        (D2, 1, TrafficTreatment((2,))),
+        (D2, 2, TrafficTreatment((1,))),
+        (D3, 1, TrafficTreatment((1, 2))),
+    ]
+
+    @classmethod
+    def twin(cls, chain3):
+        fabric = Fabric(chain3)
+        fabric.install_rules([FlowRule(5, D1, cls.TEMPLATE, TrafficTreatment((2,)), 2, 150, 1)])
+        return fabric
+
+    @staticmethod
+    def rules(places, owner, selector, priority, rule_ids):
+        return [
+            FlowRule(rule_id, device, selector, treatment, owner, priority, in_port)
+            for rule_id, (device, in_port, treatment) in zip(rule_ids, places)
+        ]
+
+    @staticmethod
+    def outcome(install):
+        try:
+            install()
+        except (DuplicateRuleError, UnknownDeviceError, ValueError) as exc:
+            return type(exc), str(exc)
+        return "installed"
+
+    @pytest.mark.parametrize(
+        "selector, priority",
+        [(TEMPLATE, 100), (OTHER, 150), (TrafficSelector(), 100)],
+        ids=["one-field", "two-fields", "in-port-only"],
+    )
+    def test_places_install_what_install_rules_would(self, chain3, selector, priority):
+        placed, installed = self.twin(chain3), self.twin(chain3)
+        rows = placed.install_places(self.PLACES, 3, selector, priority, iter(range(10, 99)).__next__)
+        installed.install_rules(self.rules(self.PLACES, 3, selector, priority, range(10, 99)))
+        assert rows is placed.rows_of(3)
+        # the same rows in the same order, match keys included
+        assert rows == installed.rows_of(3)
+        assert [row[0] for row in rows] == [10, 11, 12, 13]
+        assert TestInstallCopy.observed(placed) == TestInstallCopy.observed(installed)
+        assert placed.remove_rules(3) == installed.remove_rules(3) == 4
+        assert TestInstallCopy.observed(placed) == TestInstallCopy.observed(installed) == (
+            TestInstallCopy.observed(self.twin(chain3))
+        )
+
+    def test_no_places_install_nothing(self, chain3):
+        placed, installed = self.twin(chain3), self.twin(chain3)
+        assert placed.install_places([], 3, self.TEMPLATE, 100, iter(range(10, 99)).__next__) == ()
+        assert installed.install_rules([]) == 0
+        assert placed._by_owner == installed._by_owner  # no empty entry for the owner
+        assert TestInstallCopy.observed(placed) == TestInstallCopy.observed(installed)
+
+    @pytest.mark.parametrize(
+        "swap, owner, selector, priority, rule_ids, expected",
+        [
+            ({1: (device_id(77), 1, TrafficTreatment((2,)))}, 3, TEMPLATE, 100, range(10, 99),
+             (UnknownDeviceError, f"unknown device {device_id(77)}")),
+            ({1: (D2, 1, TrafficTreatment((9,)))}, 3, TEMPLATE, 100, range(10, 99),
+             (ValueError, f"rule 11 outputs to missing port {D2}/9")),
+            ({1: (D2, 7, TrafficTreatment((2,)))}, 3, TEMPLATE, 100, range(10, 99),
+             (ValueError, f"rule 11 matches missing port {D2}/7")),
+            ({1: (D2, None, TrafficTreatment((2,)))}, 3, TrafficSelector(), 100, range(10, 99),
+             (ValueError, "rule 11 has an empty selector")),
+            ({3: (D2, 1, TrafficTreatment((1,)))}, 3, TEMPLATE, 100, range(10, 99),
+             (DuplicateRuleError, f"duplicate rule on {D2} (priority 100)")),
+            ({}, 3, OTHER, 100, range(5, 99), (DuplicateRuleError, "rule id 5 is already in use")),
+            ({}, 3, OTHER, 100, [20] * 4, (DuplicateRuleError, "rule id 20 is already in use")),
+            # a second controller on the same fabric reuses owners
+            ({}, 2, TEMPLATE, 150, range(10, 99),
+             (DuplicateRuleError, f"duplicate rule on {D1} (priority 150)")),
+            ({}, 2, OTHER, 100, range(10, 99), "installed"),  # a live owner whose keys differ
+            # the first rule that fails names the refusal, whichever check finds it
+            ({2: (D2, 2, TrafficTreatment((9,)))}, 3, OTHER, 100, [5, 30, 31, 32],
+             (DuplicateRuleError, "rule id 5 is already in use")),
+            ({2: (D2, 1, TrafficTreatment((1,))), 3: (device_id(77), 1, TrafficTreatment((2,)))},
+             3, OTHER, 100, range(10, 99), (DuplicateRuleError, f"duplicate rule on {D2} (priority 100)")),
+        ],
+        ids=[
+            "unknown-device", "missing-output", "missing-in-port", "empty-match", "named-twice",
+            "live-id", "repeated-id", "live-owner-clash", "live-owner-no-clash",
+            "live-id-before-bad-port", "named-twice-before-unknown-device",
+        ],
+    )
+    def test_a_refusal_is_install_rules_refusal(
+        self, chain3, swap, owner, selector, priority, rule_ids, expected
+    ):
+        places = [swap.get(n, place) for n, place in enumerate(self.PLACES)]
+        placed, installed = self.twin(chain3), self.twin(chain3)
+        returned = []
+        assert self.outcome(
+            lambda: installed.install_rules(self.rules(places, owner, selector, priority, rule_ids))
+        ) == expected
+        assert self.outcome(
+            lambda: returned.append(
+                placed.install_places(places, owner, selector, priority, iter(rule_ids).__next__)
+            )
+        ) == expected
+        assert TestInstallCopy.observed(placed) == TestInstallCopy.observed(installed)
+        assert placed.rows_of(owner) == installed.rows_of(owner)
+        if expected == "installed":
+            assert returned == [placed.rows_of(owner)] and len(returned[0]) == 5
+        else:  # a refused batch changes nothing
+            assert TestInstallCopy.observed(placed) == TestInstallCopy.observed(self.twin(chain3))
+
+
 class TestInject:
     def install_chain(self, fabric):
         sel = {"eth_dst": DEFAULT_HEADER.eth_dst}

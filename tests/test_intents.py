@@ -415,10 +415,9 @@ class TestLifecycleAccounting:
         seen = []
 
         class Recording(Fabric):
-            def install_rules(self, rules):
-                installed = super().install_rules(rules)
-                owner = rules[0][4]  # a row holds FlowRule.row's fields: the owner is 5th
-                seen.append((ctrl.get(owner).state, ctrl.rule_count(owner)))
+            def install_places(self, places, owner_intent, *args):
+                installed = super().install_places(places, owner_intent, *args)
+                seen.append((ctrl.get(owner_intent).state, ctrl.rule_count(owner_intent)))
                 return installed
 
         ctrl = Controller(chain3, fabric=Recording(chain3))
@@ -466,6 +465,10 @@ class InstallFails(Fabric):
     def install_rules(self, rules):
         self._count()
         return super().install_rules(rules)
+
+    def install_places(self, places, owner_intent, selector, priority, next_rule_id):
+        self._count()
+        return super().install_places(places, owner_intent, selector, priority, next_rule_id)
 
     def install_copy(self, like, owner_intent, selector, priority, next_rule_id):
         self._count()
@@ -618,10 +621,12 @@ class TestTemplates:
             for leaf in leaves:
                 intent = ctrl.get(leaf)
                 rules = ctrl.fabric.rules_of(leaf)
-                # a cold compile of the leaf, handed the ids its copy took
-                ids = iter([r.rule_id for r in rules]).__next__
-                rows = compilers[type(intent.request)](topo, intent, ids, TreatmentCache())
-                cold = [FlowRule(*row[:7]) for row in rows]
+                # a cold compile of the leaf, its places given the ids its copy took
+                places = compilers[type(intent.request)](topo, intent.request, TreatmentCache())
+                cold = [
+                    FlowRule(r.rule_id, device, intent.selector, treatment, leaf, intent.priority, in_port)
+                    for r, (device, in_port, treatment) in zip(rules, places, strict=True)
+                ]
                 assert rules == cold
                 assert [r.row for r in rules] == [r.row for r in cold]  # match keys too
 
@@ -664,9 +669,9 @@ class TestTemplates:
 
     def test_a_repeated_host_to_host_installs_its_legs_as_copies(self, controller, installs):
         first = controller.submit(HostToHost("h1", "h2"))
-        assert installs == ["install_rules"] * 2
+        assert installs == ["install_places"] * 2
         again = controller.submit(HostToHost("h1", "h2"))
-        assert installs == ["install_rules"] * 2 + ["install_copy"] * 2
+        assert installs == ["install_places"] * 2 + ["install_copy"] * 2
         assert controller.get(again).state is IntentState.INSTALLED
         assert [rule_shapes(controller, leg) for leg in leaves_of(controller, again)] == [
             rule_shapes(controller, leg) for leg in leaves_of(controller, first)
@@ -688,7 +693,7 @@ class TestTemplates:
                      MultiToSinglePoint(frozenset(edges[1:]), edges[0])]
         for request_ in requests:
             assert ctrl.get(ctrl.submit(request_)).state is IntentState.INSTALLED
-        assert installs == ["install_rules"] * len(requests)
+        assert installs == ["install_places"] * len(requests)
 
     def test_failed_install_leaves_the_memo_unchanged(self, chain3):
         ctrl = Controller(chain3, fabric=InstallFails(chain3))
@@ -747,7 +752,8 @@ class TestTemplates:
 
 
 class HeldFabric(Fabric):
-    """A fabric whose first call of one method blocks until `release` is set."""
+    """A fabric whose first call of one method blocks until `release` is set.
+    Held as "install_rules", a compiled batch (`install_places`) blocks too."""
 
     def __init__(self, topology, held: str) -> None:
         super().__init__(topology)
@@ -766,6 +772,10 @@ class HeldFabric(Fabric):
     def install_rules(self, rules):
         self._hold("install_rules")
         return super().install_rules(rules)
+
+    def install_places(self, places, owner_intent, selector, priority, next_rule_id):
+        self._hold("install_rules")
+        return super().install_places(places, owner_intent, selector, priority, next_rule_id)
 
     def remove_rules(self, owner_intent):
         self._hold("remove_rules")
