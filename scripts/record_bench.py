@@ -27,7 +27,11 @@ SPAWN_PAIRS pairs of `python -m intentd.cli add-...` processes, the sides
 alternating spawn by spawn, each with the environment cli-oneshot gives its
 spawns.  A 30 s run's spawn median follows the host's drift across the run;
 a pair's two spawns share it, so the per-pair ratios and win counts resolve
-a change of a few percent that the runs' medians do not.
+a change of a few percent that the runs' medians do not.  Beside the adds,
+the same pairs time each side's bare `python -c pass` start.  The A/B then
+runs again with the interpreter of a throwaway `python -m venv --without-pip`
+in a temp dir: it loads no site .pth file, so it stands for a clean host
+(recorded as null, with the reason, if the venv cannot be made).
 Only the standard library is used.
 """
 from __future__ import annotations
@@ -36,9 +40,11 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -224,12 +230,12 @@ def record_traced(roots: dict, workload: str, args) -> dict:
     return out
 
 
-def spawn_ms(root: str, argv: list[str]) -> float:
-    """Wall time of one CLI process run from `root`'s src/, in ms."""
+def spawn_ms(root: str, args: list[str], python: str) -> float:
+    """Wall time of one `python ARGS` process run from `root`'s src/, in ms."""
     path = os.environ.get("PYTHONPATH")
     src = os.path.join(root, "src")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    cmd = [sys.executable, "-m", "intentd.cli", *argv]
+    cmd = [python, *args]
     start = time.perf_counter_ns()
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, timeout=60)
     elapsed = time.perf_counter_ns() - start
@@ -239,21 +245,40 @@ def spawn_ms(root: str, argv: list[str]) -> float:
     return elapsed / 1e6
 
 
-def record_spawns(roots: dict) -> dict:
-    """The paired CLI spawn A/B: per add subcommand, SPAWN_PAIRS pairs, the
-    parent first in even pairs, after one unmeasured spawn per side."""
-    out: dict = {"pairs": SPAWN_PAIRS}
-    for name, argv in SPAWN_ARGV.items():
+def record_spawns(roots: dict, python: str) -> dict:
+    """The paired CLI spawn A/B with `python`: per add subcommand, and for the
+    bare start, SPAWN_PAIRS pairs, the parent first in even pairs, after one
+    unmeasured spawn per side."""
+    out: dict = {"python": python, "pairs": SPAWN_PAIRS}
+    commands = {name: ["-m", "intentd.cli", *argv] for name, argv in SPAWN_ARGV.items()}
+    commands["bare_start"] = ["-c", "pass"]
+    for name, args in commands.items():
         for side in SIDES:
-            spawn_ms(roots[side], argv)
+            spawn_ms(roots[side], args, python)
         times: dict = {side: [] for side in SIDES}
         for pair in range(SPAWN_PAIRS):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                times[side].append(round(spawn_ms(roots[side], argv), 3))
-        out[name] = {"argv": argv, **compare(times["parent"], times["change"], "lower", False)}
-        print(f"spawn A/B {name}: change faster in {out[name]['change_better_in_pairs']} "
-              f"of {SPAWN_PAIRS} pairs", flush=True)
+                times[side].append(round(spawn_ms(roots[side], args, python), 3))
+        out[name] = {"argv": args, **compare(times["parent"], times["change"], "lower", False)}
+        print(f"spawn A/B {name} ({python}): change faster in "
+              f"{out[name]['change_better_in_pairs']} of {SPAWN_PAIRS} pairs, median pair ratio "
+              f"{out[name]['pair_ratio']['median']}", flush=True)
     return out
+
+
+def record_clean_spawns(roots: dict) -> tuple[dict | None, str | None]:
+    """The spawn A/B with a throwaway `--without-pip` venv's interpreter, and
+    None; or None and why the venv could not be made."""
+    tmp = tempfile.mkdtemp(prefix="intentd-clean-venv-")
+    try:
+        try:
+            subprocess.run([sys.executable, "-m", "venv", "--without-pip", tmp],
+                           check=True, capture_output=True, timeout=300)
+        except (OSError, subprocess.SubprocessError) as exc:
+            return None, f"python -m venv --without-pip failed: {exc}"
+        return record_spawns(roots, os.path.join(tmp, "bin", "python")), None
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def main(argv=None) -> int:
@@ -269,7 +294,8 @@ def main(argv=None) -> int:
     sides_meta: dict = {}
     trace0 = {w: record_pairs(roots, w, args, gated, sides_meta) for w in workloads}
     trace1 = {w: record_traced(roots, w, args) for w in workloads}
-    spawns = record_spawns(roots)
+    spawns = record_spawns(roots, sys.executable)
+    clean_spawns, clean_error = record_clean_spawns(roots)
     after = cpu_ticks()
 
     doc = {
@@ -301,11 +327,17 @@ def main(argv=None) -> int:
                    "and scaled, so a setup_s median shows its within-run spread; in "
                    "trace1 a side's median, min and max are over its traced runs, and `calls` "
                    "holds each traced run's span call counts (perfbench's breakdown); "
-                   "`cli_spawn_ab` holds, per add subcommand, every spawn's wall time in ms "
-                   "of each side, in pair order, compared as a metric is (ungated)"),
+                   "`cli_spawn_ab` holds, per add subcommand and for the bare `-c pass` "
+                   "start (`bare_start`), every spawn's wall time in ms of each side, in pair "
+                   "order, compared as a metric is (ungated), with `argv` the interpreter's "
+                   "arguments; `cli_spawn_ab_clean` is the same A/B with a `--without-pip` "
+                   "venv's interpreter, which loads no site .pth file (null, with "
+                   "`cli_spawn_ab_clean_error`, if the venv could not be made)"),
         "trace0": trace0,
         "trace1": trace1,
         "cli_spawn_ab": spawns,
+        "cli_spawn_ab_clean": clean_spawns,
+        "cli_spawn_ab_clean_error": clean_error,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)

@@ -6,8 +6,8 @@ synthetic packet through the tables to check what a rule set actually does.
 from __future__ import annotations
 
 from collections import _count_elements, deque
+from collections.abc import Callable, Iterable, Sequence
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Sequence
 
 from .errors import DuplicateRuleError, LoopDetectedError, UnknownDeviceError
 from .topology import MAC_RE, ConnectPoint, FrozenRecord, Record, Topology

@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from typing import Mapping, Union
+from collections.abc import Mapping
 
 from .errors import (
     CompileError,
@@ -95,7 +95,7 @@ class HostToHost(HashedRecord):
         object.__setattr__(self, "_hash", hash(self._values))
 
 
-IntentRequest = Union[PointToPoint, SingleToMultiPoint, MultiToSinglePoint, HostToHost]
+IntentRequest = PointToPoint | SingleToMultiPoint | MultiToSinglePoint | HostToHost
 
 
 class FieldKind(enum.Enum):

@@ -11,8 +11,8 @@ import heapq
 import json
 import math
 import re
+from collections.abc import Iterable, Mapping
 from operator import attrgetter
-from typing import Iterable, Mapping
 
 from .errors import (
     NoPathError,

@@ -1,4 +1,5 @@
 """Command-line verbs, exit codes, the timed submission loop, and the demo script."""
+import gc
 import json
 import os
 import re
@@ -29,15 +30,28 @@ from conftest import CHAIN3_DOCUMENT, D1, D2, D3
 # A fresh interpreter runs the add command in argv, then names the modules it
 # loaded that the add path leaves out.  A host-to-host add hashes its host ids
 # with the interpreter's builtin SHA-256, not hashlib, which loads OpenSSL.
+# It runs under -S, so no site .pth file can load one of them first.
 ADD_PATH_SCRIPT = """
 import sys
 before = set(sys.modules)
 from intentd.cli import main
 main([*sys.argv[1:], "--output", "json"])
 left_out = {"dataclasses", "inspect", "hashlib", "_hashlib", "intentd.rest", "intentd.bench",
-            "http.server"}
+            "http.server", "typing"}
 print(sorted(left_out & (set(sys.modules) - before)))
 """
+
+
+def spawn_cli(argv):
+    """`python -m intentd.cli ARGV` in a fresh process, as a user starts it."""
+    src = os.path.dirname(os.path.dirname(intentd.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "intentd.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=30,
+    )
 
 
 def parse(argv):
@@ -313,7 +327,7 @@ class TestMainEndToEnd:
     def test_add_path_leaves_out_dataclasses_inspect_and_hashlib(self, argv):
         src = os.path.dirname(os.path.dirname(intentd.__file__))
         proc = subprocess.run(
-            [sys.executable, "-c", ADD_PATH_SCRIPT, *argv],
+            [sys.executable, "-S", "-c", ADD_PATH_SCRIPT, *argv],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": src},
@@ -323,6 +337,32 @@ class TestMainEndToEnd:
         out = proc.stdout.splitlines()
         assert json.loads(out[0])["installed"] == 1
         assert out[-1] == "[]"
+
+    def test_process_prints_its_row_and_exits_ok(self):
+        proc = spawn_cli(["add-point-to-point-intent", "--output", "json",
+                          f"{device_id(1)}/1", f"{device_id(5)}/2"])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["installed"] == 1
+
+    def test_process_exit_code_and_row_survive_the_exit(self, tmp_path):
+        unlinked = tmp_path / "unlinked.json"
+        unlinked.write_text(json.dumps(
+            {"devices": [{"id": D1, "ports": [1, 2]}, {"id": D2, "ports": [1, 2]}]}))
+        proc = spawn_cli(["add-point-to-point-intent", "--output", "json",
+                          "--topology", str(unlinked), f"{D1}/1", f"{D2}/1"])
+        assert proc.returncode == EXIT_PARTIAL, proc.stderr
+        assert json.loads(proc.stdout)["failed"] == 1
+
+    def test_in_process_main_leaves_the_collector_alone(self, capsys, monkeypatch):
+        monkeypatch.delenv(TOPOLOGY_ENV_VAR, raising=False)
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert main(["add-host-to-host-intent", "h1", "h2"]) == EXIT_OK
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    def test_console_script_is_the_process_entry(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            assert 'intentd = "intentd.cli:run"' in fh.read().splitlines()
 
     def test_console_script_help(self):
         proc = subprocess.run(
