@@ -42,11 +42,11 @@ print(sorted(left_out & (set(sys.modules) - before)))
 """
 
 
-def spawn_cli(argv):
-    """`python -m intentd.cli ARGV` in a fresh process, as a user starts it."""
+def spawn_python(args):
+    """`python ARGS` in a fresh process with this tree's intentd on its path."""
     src = os.path.dirname(os.path.dirname(intentd.__file__))
     return subprocess.run(
-        [sys.executable, "-m", "intentd.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
@@ -325,22 +325,15 @@ class TestMainEndToEnd:
         ids=["P2P", "S2M", "M2S", "H2H"],
     )
     def test_add_path_leaves_out_dataclasses_inspect_and_hashlib(self, argv):
-        src = os.path.dirname(os.path.dirname(intentd.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", ADD_PATH_SCRIPT, *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=30,
-        )
+        proc = spawn_python(["-S", "-c", ADD_PATH_SCRIPT, *argv])
         assert proc.returncode == 0, proc.stderr
         out = proc.stdout.splitlines()
         assert json.loads(out[0])["installed"] == 1
         assert out[-1] == "[]"
 
     def test_process_prints_its_row_and_exits_ok(self):
-        proc = spawn_cli(["add-point-to-point-intent", "--output", "json",
-                          f"{device_id(1)}/1", f"{device_id(5)}/2"])
+        proc = spawn_python(["-m", "intentd.cli", "add-point-to-point-intent", "--output",
+                             "json", f"{device_id(1)}/1", f"{device_id(5)}/2"])
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["installed"] == 1
 
@@ -348,10 +341,20 @@ class TestMainEndToEnd:
         unlinked = tmp_path / "unlinked.json"
         unlinked.write_text(json.dumps(
             {"devices": [{"id": D1, "ports": [1, 2]}, {"id": D2, "ports": [1, 2]}]}))
-        proc = spawn_cli(["add-point-to-point-intent", "--output", "json",
-                          "--topology", str(unlinked), f"{D1}/1", f"{D2}/1"])
+        proc = spawn_python(["-m", "intentd.cli", "add-point-to-point-intent", "--output",
+                             "json", "--topology", str(unlinked), f"{D1}/1", f"{D2}/1"])
         assert proc.returncode == EXIT_PARTIAL, proc.stderr
         assert json.loads(proc.stdout)["failed"] == 1
+
+    def test_process_entry_freezes_the_heap_it_built(self):
+        script = "import gc\nfrom intentd.cli import run\ncode = run()\nprint(code, gc.get_freeze_count())"
+        proc = spawn_python(["-c", script, "add-point-to-point-intent", "--output", "json",
+                             f"{device_id(1)}/1", f"{device_id(5)}/2"])
+        assert proc.returncode == 0, proc.stderr
+        row, tail = proc.stdout.splitlines()
+        assert json.loads(row)["installed"] == 1
+        code, frozen = map(int, tail.split())
+        assert code == EXIT_OK and frozen > 1000
 
     def test_in_process_main_leaves_the_collector_alone(self, capsys, monkeypatch):
         monkeypatch.delenv(TOPOLOGY_ENV_VAR, raising=False)
