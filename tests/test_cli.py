@@ -271,12 +271,7 @@ class TestMainEndToEnd:
             holder.listen()
             port = holder.getsockname()[1]
             # a serve that did bind would run until the timeout fails the test
-            proc = subprocess.run(
-                [sys.executable, "-m", "intentd.cli", "serve", "--port", str(port)],
-                capture_output=True,
-                text=True,
-                timeout=30,
-            )
+            proc = spawn_python(["-m", "intentd.cli", "serve", "--port", str(port)])
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
@@ -368,12 +363,7 @@ class TestMainEndToEnd:
             assert 'intentd = "intentd.cli:run"' in fh.read().splitlines()
 
     def test_console_script_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "intentd.cli", "--help"],
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
+        proc = spawn_python(["-m", "intentd.cli", "--help"])
         assert proc.returncode == 0
         assert "add-point-to-point-intent" in proc.stdout
         assert proc.stderr == ""
