@@ -15,9 +15,7 @@ from .topology import MAC_RE, ConnectPoint, FrozenRecord, Record, Topology
 DEFAULT_PRIORITY = 100
 
 
-def _check_mac(value: str | None, what: str) -> str | None:
-    if value is None:
-        return None
+def _check_mac(value: str, what: str) -> str:
     lowered = value.lower() if isinstance(value, str) else ""
     if not MAC_RE.match(lowered):
         raise ValueError(f"bad {what}: {value!r}")
@@ -33,6 +31,8 @@ def _check_vlan(value: int | None) -> int | None:
 
 
 class PacketHeader(FrozenRecord):
+    """A synthetic packet's header: both MACs are set, the vlan tag may not be."""
+
     __slots__ = _fields = ("eth_src", "eth_dst", "vlan")
 
     def __init__(self, eth_src: str, eth_dst: str, vlan: int | None = None) -> None:
@@ -49,8 +49,8 @@ class TrafficSelector(FrozenRecord):
     def __init__(
         self, eth_src: str | None = None, eth_dst: str | None = None, vlan: int | None = None
     ) -> None:
-        object.__setattr__(self, "eth_src", _check_mac(eth_src, "eth_src"))
-        object.__setattr__(self, "eth_dst", _check_mac(eth_dst, "eth_dst"))
+        for name, mac in (("eth_src", eth_src), ("eth_dst", eth_dst)):
+            object.__setattr__(self, name, None if mac is None else _check_mac(mac, name))
         object.__setattr__(self, "vlan", _check_vlan(vlan))
 
 
@@ -203,15 +203,10 @@ class FlowTable:
     own.
     """
 
-    def __init__(self, device: str, counts: dict[int, int] | None = None) -> None:
-        self.device = device
+    def __init__(self, counts: dict[int, int] | None = None) -> None:
         self._index: dict[tuple, tuple | _Rows] = {}
         self._probes: dict[tuple[int, ...], itemgetter] = {}
         self._counts = {} if counts is None else counts
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
 
     def __iter__(self):
         """Every rule in match order, as FlowRules; sorts, so keep it off the packet path."""
@@ -256,7 +251,6 @@ class FlowTable:
                 ordered = sorted(held.values(), key=_match_order)
                 held = index[key] = _Rows({r[0]: r for r in ordered})
                 held.last = ordered[-1]
-        self._len += 1
 
     def discard(self, row: tuple) -> None:
         """Remove a row this table holds; its rule's count is the fabric's to drop."""
@@ -268,7 +262,6 @@ class FlowTable:
             del held[row[0]]
             if len(held) == 1:
                 self._index[key] = next(iter(held.values()))
-        self._len -= 1
 
     def match(self, in_port: int, header: PacketHeader) -> FlowRule | None:
         """The first rule in match order whose selector matches, or None."""
@@ -296,7 +289,6 @@ class FlowTable:
     def clear(self) -> None:
         self._index.clear()
         self._probes.clear()
-        self._len = 0
 
 
 class Fabric:
@@ -316,7 +308,7 @@ class Fabric:
     def __init__(self, topology: Topology) -> None:
         self._counts: dict[int, int] = {}
         self._tables: dict[str, FlowTable] = {
-            dev: FlowTable(dev, self._counts) for dev in topology.device_ids
+            dev: FlowTable(self._counts) for dev in topology.device_ids
         }
         # read off the immutable topology once: each device's ports, and the
         # (device, port) at the far end of every link, keyed by its near end

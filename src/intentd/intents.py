@@ -126,14 +126,13 @@ DEFAULT_SELECTOR = TrafficSelector()
 
 class Intent(Record):
     """One stored intent and its lifecycle state.  `child_ids` is set once a
-    host-to-host parent has been expanded, even to no legs; `parent_id` names
-    the host-to-host parent that owns a leg.  `template` is not a field: it
-    is the controller's template entry an INSTALLED leaf holds, else None."""
+    host-to-host parent has been expanded, even to no legs, so a leaf is an
+    intent whose `child_ids` is None; `parent_id` names the host-to-host
+    parent that owns a leg."""
 
-    _fields = (
+    __slots__ = _fields = (
         "id", "request", "selector", "priority", "state", "failure", "child_ids", "parent_id",
     )
-    __slots__ = (*_fields, "template")
 
     def __init__(
         self,
@@ -154,7 +153,6 @@ class Intent(Record):
         self.failure = failure
         self.child_ids = child_ids
         self.parent_id = parent_id
-        self.template: list | None = None
 
     @property
     def type_name(self) -> str:
@@ -359,15 +357,16 @@ class Controller:
     withdraw and reset is atomic and every read sees store and fabric agree.
     It is reentrant because a host-to-host submit submits its legs.
 
-    A request compiles once while it is live.  `_templates` maps each request
-    that has an INSTALLED leaf to [rows, users]: the rule rows one such intent
-    was compiled to, the very tuple the fabric holds for it (`rows_of`, which
-    `Fabric.install_places` returns), and how many INSTALLED leaves hold the
-    entry.  An equal request has the fabric
-    install a copy of that template instead of compiling
-    (`Fabric.install_copy`).  The rules depend only on the request and the
-    topology, which never changes, so an equal request is not validated again
-    either.
+    A request compiles once while it is live.  `_templates` is the one owner
+    of that memo: it maps each request that has an INSTALLED leaf to [rows,
+    users], the rule rows one such intent was compiled to (the very tuple
+    `Fabric.install_places` returned and the fabric holds for it, `rows_of`)
+    and how many INSTALLED leaves have the request.  An entry is made only
+    once the fabric has accepted a compiled batch, and goes with its last
+    user.  An equal request has the fabric install a copy of that template
+    instead of compiling (`Fabric.install_copy`).  The rules depend only on
+    the request and the topology, which never changes, so an equal request
+    is not validated again either.
     """
 
     def __init__(
@@ -383,8 +382,6 @@ class Controller:
         self._next_rule_id = itertools.count(1).__next__
         self._treatments = TreatmentCache()
         self._templates: dict[IntentRequest, list] = {}
-        # the next new entry, planted by setdefault: a submit hashes its request once
-        self._spare: list = [None, 0]
         self._lock = threading.RLock()
 
     def submit(
@@ -412,50 +409,41 @@ class Controller:
                 self._drive_host_to_host(intent)
                 return intent.id
 
-            # [rows, users]; a miss plants the spare entry, with no users yet
             try:
-                entry = self._templates.setdefault(request, self._spare)
+                entry = self._templates.get(request)  # [rows, users]
             except TypeError:  # unhashable, so no request: validation names it
                 validate_request(self.topology, request)
                 raise
-            compiled = not entry[1]
-            if compiled:
-                try:
-                    validate_request(self.topology, request)
-                    intent = self.store.admit(request, selector, priority)
-                except BaseException:
-                    del self._templates[request]
-                    raise
-                self._spare = [None, 0]
+            if entry is None:
+                validate_request(self.topology, request)
+                intent = self.store.admit(request, selector, priority)
                 self.store.transition(intent, _COMPILING)
                 try:
                     places = self._compile(request)
                 except (NoPathError, CompileError) as exc:
-                    del self._templates[request]
                     self.store.transition(intent, _FAILED, failure=str(exc))
                     return intent.id
+                self.store.transition(intent, _INSTALLING)
+                try:
+                    rows = self.fabric.install_places(
+                        places, intent.id, selector, priority, self._next_rule_id
+                    )
+                except (FabricError, ValueError) as exc:
+                    self.store.transition(intent, _FAILED, failure=str(exc))
+                    return intent.id
+                self._templates[request] = [rows, 1]
             else:
                 intent = self.store.admit(request, selector, priority)
                 self.store.transition(intent, _COMPILING)
-
-            self.store.transition(intent, _INSTALLING)
-            try:
-                if compiled:
-                    entry[0] = self.fabric.install_places(
-                        places, intent.id, selector, priority, self._next_rule_id
-                    )
-                else:
-                    # entry[0] is set only once install_places accepted it here
+                self.store.transition(intent, _INSTALLING)
+                try:
                     self.fabric.install_copy(
                         entry[0], intent.id, selector, priority, self._next_rule_id
                     )
-            except (FabricError, ValueError) as exc:
-                if compiled:
-                    del self._templates[request]
-                self.store.transition(intent, _FAILED, failure=str(exc))
-                return intent.id
-            entry[1] += 1
-            intent.template = entry
+                except (FabricError, ValueError) as exc:
+                    self.store.transition(intent, _FAILED, failure=str(exc))
+                    return intent.id
+                entry[1] += 1
             self.store.transition(intent, _INSTALLED)
             return intent.id
 
@@ -531,17 +519,17 @@ class Controller:
             self.store.transition(intent, _WITHDRAWN)
 
     def _remove(self, intent: Intent) -> None:
-        """Withdraw an intent's INSTALLED legs, then drop its own rules and its
-        hold on its template, which goes when no INSTALLED leaf holds it."""
+        """Withdraw an intent's INSTALLED legs, then drop its own rules.  A
+        leaf is a user of its request's template, which goes with its last
+        user."""
         for child_id in intent.child_ids or ():
             child = self.store.get(child_id)
             if child.state is _INSTALLED:
                 self._remove(child)
                 self.store.transition(child, _WITHDRAWN)
         self.fabric.remove_rules(intent.id)
-        entry = intent.template
-        if entry is not None:
-            intent.template = None
+        if intent.child_ids is None:
+            entry = self._templates[intent.request]
             entry[1] -= 1
             if not entry[1]:
                 del self._templates[intent.request]

@@ -193,7 +193,12 @@ class _ApiHandler(BaseHTTPRequestHandler):
         if "Transfer-Encoding" in self.headers:
             self.close_connection = True
             raise RequestSchemaError("a body must come with Content-Length, not Transfer-Encoding")
-        declared = self.headers.get("Content-Length", "0").strip()
+        # RFC 9112 6.3: framing that disagrees with itself is invalid
+        lengths = sorted({v.strip() for v in self.headers.get_all("Content-Length", ("0",))})
+        if len(lengths) > 1:
+            self.close_connection = True
+            raise RequestSchemaError(f"Content-Length values disagree: {', '.join(lengths)}")
+        declared = lengths[0]
         if not (declared.isascii() and declared.isdigit()):
             self.close_connection = True
             raise RequestSchemaError(
@@ -232,10 +237,11 @@ class _ApiHandler(BaseHTTPRequestHandler):
         self._serve(self._post_intent if self.path == "/intents" else self._no_route)
 
     def _close_if_body(self) -> None:
-        """GET and DELETE read no body, so one that a request declares would
-        be parsed as the next request; the reply closes the connection."""
-        declared = self.headers.get("Content-Length", "0").strip()
-        if declared != "0" or "Transfer-Encoding" in self.headers:
+        """GET and DELETE read no body, so one that a request declares, or
+        lengths that disagree, would leave bytes to be parsed as the next
+        request; the reply closes the connection."""
+        lengths = {v.strip() for v in self.headers.get_all("Content-Length", ("0",))}
+        if lengths != {"0"} or "Transfer-Encoding" in self.headers:
             self.close_connection = True
 
     def do_GET(self) -> None:

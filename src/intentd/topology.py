@@ -226,12 +226,12 @@ class Topology:
                 )
             self._hosts[host] = attach
 
-        self._adjacency: dict[str, tuple[Link, ...]] = {d: () for d in self._ports}
         by_src: dict[str, list[Link]] = {d: [] for d in self._ports}
         for link in self._links:
             by_src[link.src.device].append(link)
-        for dev, out in by_src.items():
-            self._adjacency[dev] = tuple(out)
+        self._adjacency: dict[str, tuple[Link, ...]] = {
+            dev: tuple(out) for dev, out in by_src.items()
+        }
 
         # shortest_path's memos: src -> {dst: links}, one search per source
         # device, and (src, dst) -> Path, at most one per device pair.  Two

@@ -1,4 +1,5 @@
 """Intent lifecycle, compilation, the request codec, and end-to-end delivery."""
+import copy
 import json
 import random
 import sys
@@ -1154,9 +1155,10 @@ class LifecycleModel(RuleBasedStateMachine):
 
     @rule(target=ids, iid=ids)
     def resubmit(self, iid):
-        """Submit a known intent's request again, so that equal requests meet."""
+        """Submit a known intent's request again, so that equal requests meet:
+        a copy, equal but not the same object, as a request from outside is."""
         assume(iid in self.model)
-        request = self.ctrl.get(iid).request
+        request = copy.copy(self.ctrl.get(iid).request)
         if isinstance(request, HostToHost):
             return self._submit_pair(request)
         return self._submit(request)

@@ -182,6 +182,46 @@ class TestContentLength:
         assert ctrl.live_intents() == 0
         assert client.health()[0] == 200
 
+    @pytest.mark.parametrize("body_first", [True, False], ids=["body-first", "short-first"])
+    def test_disagreeing_lengths_are_refused(self, rest, body_first):
+        ctrl, client = rest
+        body = json.dumps(p2p_doc()).encode("ascii")
+        lengths = [len(body), 5] if body_first else [5, len(body)]
+        head = b"POST /intents HTTP/1.1\r\nHost: x\r\n" + b"".join(
+            b"Content-Length: %d\r\n" % length for length in lengths
+        )
+        reply = exchange(client, head + b"\r\n" + body)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        assert b"Content-Length values disagree: 5, %d" % len(body) in reply
+        assert reply.count(b"HTTP/1.") == 1
+        assert ctrl.live_intents() == 0
+
+    def test_a_repeated_equal_length_is_accepted(self, rest):
+        ctrl, client = rest
+        body = json.dumps(p2p_doc()).encode("ascii")
+        head = b"POST /intents HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+        length = b"Content-Length: %d\r\n" % len(body)
+        reply = exchange(client, head + length * 2 + b"\r\n" + body)
+        assert reply.startswith(b"HTTP/1.1 201 ")
+        assert ctrl.live_intents() == 1
+
+    @pytest.mark.parametrize(
+        "method, path, status",
+        [("GET", b"/health", 200), ("DELETE", b"/intents/1", 204)],
+        ids=["get", "delete"],
+    )
+    def test_disagreeing_lengths_close_a_bodiless_route(self, rest, method, path, status):
+        _, client = rest
+        client.post_intent(p2p_doc())
+        head = method.encode("ascii") + b" " + path + b" HTTP/1.1\r\nHost: x\r\n"
+        first = head + b"Content-Length: 0\r\nContent-Length: 11\r\n\r\nGET /nope ?"
+        second = b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+        reply = exchange(client, first + second)
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert b"connection: close" in reply.lower()
+        assert reply.count(b"HTTP/1.") == 1
+
 
 def raw_request(method: str, path: bytes, body: bytes = b"") -> bytes:
     return (
